@@ -13,7 +13,7 @@ from hopfly import (
     RingElem,
     elementary_series,
     eval_unknot,
-    format_poly1,
+    format_poly,
     hopf_invariant,
     hopf_sln_minor,
     hopf_sln_substitution,
@@ -44,7 +44,7 @@ def main():
 
     if n >= max(lam.length, mu.length):
         minor = vandermonde_minor(lam, mu, n)
-        print(f"\nVandermonde minor at N={n} (q = s^2): {format_poly1(minor, 'q')}")
+        print(f"\nVandermonde minor at N={n} (q = s^2): {format_poly(minor, 'q')}")
         by_minor = hopf_sln_minor(lam, mu, n)
         by_subst = hopf_sln_substitution(lam, mu, n)
         print(f"sl({n}) by minors:       {by_minor.value}")

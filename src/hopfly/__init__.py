@@ -2,31 +2,22 @@
 
 from .ring import (
     ConsistencyError,
-    LaurentPoly1,
-    LaurentPoly2,
+    LaurentPoly,
     RingElem,
     determinant,
     det_fractions,
-    format_poly1,
-    format_poly2,
+    format_poly,
     format_ring_elem,
-    parse_poly1,
-    parse_poly2,
+    parse_poly,
     parse_ring_elem,
-    quantum_factor,
     ring_elem_from_json,
     ring_elem_to_json,
-    try_exact_div,
 )
 from .partitions import (
     EMPTY,
     Partition,
     column_partition,
-    conjugate,
-    frobenius,
     hook_partition,
-    index_set,
-    parse_partition,
     partitions_of,
     partitions_up_to,
     pieri_column,
@@ -35,15 +26,11 @@ from .partitions import (
 )
 from .series import (
     TruncatedSeries,
-    linear_factor,
     schur_classical,
     schur_of_series,
-    series_invert,
-    series_mul,
 )
 from .hopf import (
     HopfResult,
-    Route,
     complete_series,
     content_polynomial,
     curl_identity_check,
@@ -54,7 +41,6 @@ from .hopf import (
     framing_factor,
     hopf_column_row_closed,
     hopf_invariant,
-    hopf_invariant_symmetrized,
     required_degree,
 )
 from .sln import (

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .ring import LaurentPoly1, RingElem, format_poly1, format_ring_elem, ring_elem_to_json
+from .ring import RingElem, format_poly, format_ring_elem, ring_elem_to_json
 from .partitions import Partition
 from .hopf import (
     complete_series,
@@ -89,13 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _q_form(value: RingElem) -> str | None:
-    if isinstance(value.num, LaurentPoly1) and not value.den and value.num.all_even():
-        return format_poly1(value.num, variable="q")
+    if value.num.nvars == 1 and not value.den and value.num.all_even():
+        return format_poly(value.num, variable="q")
     return None
-
-
-def _emit_value(out: dict, key: str, value: RingElem):
-    out[key] = ring_elem_to_json(value)
 
 
 def _print_value(label: str, value: RingElem):
@@ -110,7 +106,7 @@ def run(args: argparse.Namespace) -> int:
         result = hopf_invariant(args.lam, args.mu)
         if args.format == "json":
             out = {"lambda": list(args.lam.parts), "mu": list(args.mu.parts)}
-            _emit_value(out, "value", result.value)
+            out["value"] = ring_elem_to_json(result.value)
             print(json.dumps(out))
         else:
             print(f"lambda: {args.lam}")
@@ -123,8 +119,8 @@ def run(args: argparse.Namespace) -> int:
         framing = framing_factor(args.lam)
         if args.format == "json":
             out = {"lambda": list(args.lam.parts)}
-            _emit_value(out, "value", value)
-            _emit_value(out, "framing", framing)
+            out["value"] = ring_elem_to_json(value)
+            out["framing"] = ring_elem_to_json(framing)
             print(json.dumps(out))
         else:
             print(f"lambda: {args.lam}")
@@ -156,7 +152,7 @@ def run(args: argparse.Namespace) -> int:
         value = RingElem(minor)
         if args.format == "json":
             out = {"lambda": list(args.lam.parts), "mu": list(args.mu.parts), "N": args.n}
-            _emit_value(out, "value", value)
+            out["value"] = ring_elem_to_json(value)
             print(json.dumps(out))
         else:
             print(f"lambda: {args.lam}")
@@ -180,8 +176,8 @@ def run(args: argparse.Namespace) -> int:
                     "denominator": sub.correction_exponent.denominator,
                 },
             }
-            _emit_value(out, "value", sub.value)
-            _emit_value(out, "minor_value", minor.value)
+            out["value"] = ring_elem_to_json(sub.value)
+            out["minor_value"] = ring_elem_to_json(minor.value)
             print(json.dumps(out))
         else:
             print(f"lambda: {args.lam}")

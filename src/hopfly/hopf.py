@@ -16,19 +16,11 @@ theorem that the test suite checks, not a shortcut the implementation takes.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import functools
 
-from .ring import ConsistencyError, LaurentPoly2, RingElem
+from .ring import LaurentPoly, RingElem
 from .partitions import Partition, column_partition, hook_partition, row_partition
 from .series import TruncatedSeries, schur_of_series
-
-
-class Route(enum.Enum):
-    """How a pairing value was produced."""
-
-    SCHUR_OF_E = "schur-of-series"
-    SYMMETRIZED = "symmetrized"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -36,26 +28,25 @@ class HopfResult:
     lam: Partition
     mu: Partition
     value: RingElem
-    route: Route
 
 
 @functools.lru_cache(maxsize=None)
 def eval_unknot(lam: Partition) -> RingElem:
     """Unknot evaluation: product over cells of
     (v**-1 s**cn - v s**-cn) / (s**hl - s**-hl)."""
-    num = LaurentPoly2.one()
+    num = LaurentPoly.one()
     hooks = []
     conj = lam.conjugate()
     for (i, j) in lam.cells():
         cn = j - i
-        num = num * LaurentPoly2({(-1, cn): 1, (1, -cn): -1})
+        num = num * LaurentPoly({(-1, cn): 1, (1, -cn): -1})
         hooks.append((lam.part(i) - j) + (conj.part(j) - i) + 1)
     return RingElem(num, tuple(sorted(hooks)))
 
 
 def framing_factor(lam: Partition) -> RingElem:
     """Positive-curl eigenvalue v**-|lam| s**(2 * content sum)."""
-    return RingElem(LaurentPoly2.monomial(1, -lam.size, 2 * lam.content_sum()))
+    return RingElem(LaurentPoly.monomial(1, -lam.size, 2 * lam.content_sum()))
 
 
 def required_degree(mu: Partition) -> int:
@@ -72,11 +63,11 @@ def elementary_series_empty(degree: int) -> TruncatedSeries:
     Built by the one-cell recursion: coefficient r+1 adds the numerator
     factor v**-1 s**-r - v s**r and the bracket r+1.
     """
-    coeffs = [RingElem(LaurentPoly2.one())]
-    num = LaurentPoly2.one()
+    coeffs = [RingElem(LaurentPoly.one())]
+    num = LaurentPoly.one()
     den: list[int] = []
     for r in range(degree):
-        num = num * LaurentPoly2({(-1, -r): 1, (1, r): -1})
+        num = num * LaurentPoly({(-1, -r): 1, (1, r): -1})
         den.append(r + 1)
         coeffs.append(RingElem(num, tuple(den)))
     return TruncatedSeries(tuple(coeffs))
@@ -89,8 +80,8 @@ def elementary_series(lam: Partition, degree: int) -> TruncatedSeries:
     series = elementary_series_empty(degree)
     arms, legs = lam.frobenius()
     for a, b in zip(arms, legs):
-        up = RingElem(LaurentPoly2.monomial(1, -1, 2 * a + 1))
-        down = RingElem(LaurentPoly2.monomial(1, -1, -2 * b - 1))
+        up = RingElem(LaurentPoly.monomial(1, -1, 2 * a + 1))
+        down = RingElem(LaurentPoly.monomial(1, -1, -2 * b - 1))
         series = series.mul(TruncatedSeries.linear_factor(up, 1, degree))
         series = series.mul(TruncatedSeries.linear_factor(down, -1, degree))
     return series
@@ -105,8 +96,8 @@ def elementary_series_by_rows(lam: Partition, degree: int) -> TruncatedSeries:
     """
     series = elementary_series_empty(degree)
     for j in range(1, lam.length + 1):
-        up = RingElem(LaurentPoly2.monomial(1, -1, 2 * lam.part(j) - 2 * j + 1))
-        down = RingElem(LaurentPoly2.monomial(1, -1, -2 * j + 1))
+        up = RingElem(LaurentPoly.monomial(1, -1, 2 * lam.part(j) - 2 * j + 1))
+        down = RingElem(LaurentPoly.monomial(1, -1, -2 * j + 1))
         series = series.mul(TruncatedSeries.linear_factor(up, 1, degree))
         series = series.mul(TruncatedSeries.linear_factor(down, -1, degree))
     return series
@@ -125,16 +116,7 @@ def _hopf_value(lam: Partition, mu: Partition) -> RingElem:
 
 def hopf_invariant(lam: Partition, mu: Partition) -> HopfResult:
     """The two-variable pairing s_mu(E_lam) * unknot(lam)."""
-    return HopfResult(lam, mu, _hopf_value(lam, mu), Route.SCHUR_OF_E)
-
-
-def hopf_invariant_symmetrized(lam: Partition, mu: Partition) -> HopfResult:
-    """Compute both orientations, insist they agree, return the common value."""
-    forward = _hopf_value(lam, mu)
-    backward = _hopf_value(mu, lam)
-    if forward != backward:
-        raise ConsistencyError(f"pairing is not symmetric at ({lam}, {mu})")
-    return HopfResult(lam, mu, forward, Route.SYMMETRIZED)
+    return HopfResult(lam, mu, _hopf_value(lam, mu))
 
 
 def hopf_column_row_closed(i: int, j: int) -> RingElem:
@@ -151,21 +133,21 @@ def hopf_column_row_closed(i: int, j: int) -> RingElem:
     col = column_partition(i)
     row = row_partition(j)
     if i == 0 and j == 0:
-        return RingElem(LaurentPoly2.one())
+        return RingElem(LaurentPoly.one())
     if i == 0:
         return eval_unknot(row)
     if j == 0:
         return eval_unknot(col)
-    num = LaurentPoly2(
+    num = LaurentPoly(
         {(-1, 2 * j): 1, (-1, 2 * (j - i)): -1, (-1, -2 * i): 1, (1, 0): -1}
     )
     # Column cells except (1,1), whose factor is exactly v**-1 - v.
     for r in range(2, i + 1):
         cn = 1 - r
-        num = num * LaurentPoly2({(-1, cn): 1, (1, -cn): -1})
+        num = num * LaurentPoly({(-1, cn): 1, (1, -cn): -1})
     for c in range(1, j + 1):
         cn = c - 1
-        num = num * LaurentPoly2({(-1, cn): 1, (1, -cn): -1})
+        num = num * LaurentPoly({(-1, cn): 1, (1, -cn): -1})
     den = tuple(sorted(col.hooks() + row.hooks()))
     return RingElem(num, den)
 
@@ -173,12 +155,8 @@ def hopf_column_row_closed(i: int, j: int) -> RingElem:
 def content_polynomial(lam: Partition, u: RingElem, degree: int) -> TruncatedSeries:
     """prod over cells of (1 + q**cn(x) u t) with q = s**2, truncated."""
     series = TruncatedSeries.one(degree, like=u)
-    base = type(u.num)
     for (i, j) in lam.cells():
-        if base is LaurentPoly2:
-            q_power = base.monomial(1, 0, 2 * (j - i))
-        else:
-            q_power = base.monomial(1, 2 * (j - i))
+        q_power = LaurentPoly.monomial(1, s=2 * (j - i), nvars=u.num.nvars)
         factor = (u * RingElem(q_power)).reduced()
         series = series.mul(TruncatedSeries.linear_factor(factor, 1, degree))
     return series

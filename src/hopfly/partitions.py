@@ -86,9 +86,6 @@ class Partition:
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts) if self.parts else "0"
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
     # -- diagram combinatorics ----------------------------------------------
 
     def conjugate(self) -> "Partition":
@@ -106,19 +103,6 @@ class Partition:
             for j in range(1, p + 1):
                 yield (i, j)
 
-    def content(self, i: int, j: int) -> int:
-        return j - i
-
-    def arm(self, i: int, j: int) -> int:
-        return self.part(i) - j
-
-    def leg(self, i: int, j: int) -> int:
-        return self.conjugate().part(j) - i
-
-    def hook_length(self, i: int, j: int) -> int:
-        conj = self.conjugate()
-        return (self.part(i) - j) + (conj.part(j) - i) + 1
-
     def hooks(self) -> list[int]:
         conj = self.conjugate()
         return [
@@ -131,10 +115,6 @@ class Partition:
 
     def content_sum(self) -> int:
         return sum(self.contents())
-
-    def row_weight(self) -> int:
-        """sum over rows of (i - 1) * parts[i], the staircase weight."""
-        return sum(i * p for i, p in enumerate(self.parts))
 
     @property
     def diagonal_length(self) -> int:
@@ -154,23 +134,8 @@ class Partition:
             raise ValueError(f"need n >= number of parts: n={n}, parts={self.parts}")
         return tuple(self.part(i) + n - i for i in range(1, n + 1))
 
-    def contains(self, other: "Partition") -> bool:
-        return all(self.part(i) >= other.part(i) for i in range(1, other.length + 1))
-
 
 EMPTY = Partition(())
-
-
-def conjugate(lam: Partition) -> Partition:
-    return lam.conjugate()
-
-
-def frobenius(lam: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return lam.frobenius()
-
-
-def index_set(lam: Partition, n: int) -> tuple[int, ...]:
-    return lam.index_set(n)
 
 
 def hook_partition(a: int, b: int) -> Partition:
@@ -278,6 +243,3 @@ def partitions_up_to(n: int) -> list[Partition]:
     for k in range(n + 1):
         out.extend(partitions_of(k))
     return out
-
-
-parse_partition = Partition.from_text

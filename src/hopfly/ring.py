@@ -1,18 +1,19 @@
 """Exact arithmetic underlying the decorated Hopf link invariants.
 
-Three value types live here:
+Two value types live here:
 
-* ``LaurentPoly2``: integer Laurent polynomials in the framing variable ``v``
-  and the quantum parameter ``s``.
-* ``LaurentPoly1``: integer Laurent polynomials in ``s`` alone, the target of
-  the ``v = s**-N`` specialisation.  When every exponent is even the value
-  can be displayed in ``q = s**2``.
+* ``LaurentPoly``: integer Laurent polynomials.  Each value carries its ring
+  as ``nvars``: 2 for polynomials in the framing variable ``v`` and the
+  quantum parameter ``s``, 1 for polynomials in ``s`` alone, the target of
+  the ``v = s**-N`` specialisation.  Only the multiplication and
+  exact-division kernels depend on the arity; a one-variable value whose
+  exponents are all even can be displayed in ``q = s**2``.
 * ``RingElem``: a quotient ``num / prod_k (s**k - s**-k)`` whose numerator is
-  either polynomial type.  Denominators are stored structurally as a multiset
-  of bracket indices ``k``; cancellation is therefore a sequence of exact
-  division trials rather than a two-variable gcd.  Equality never depends on
-  normalisation: two elements are equal iff they agree after cross
-  multiplication.
+  a ``LaurentPoly`` of either arity.  Denominators are stored structurally as
+  a multiset of bracket indices ``k``; cancellation is therefore a sequence
+  of exact division trials rather than a two-variable gcd.  Equality never
+  depends on normalisation: two elements are equal iff they agree after
+  cross multiplication.
 
 All values are immutable after construction and safe to share.
 """
@@ -30,7 +31,7 @@ class ConsistencyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# raw term-dict helpers (shared by both polynomial flavours)
+# raw term-dict kernels, one per arity
 
 
 def _div_terms_1var(num: dict, den: dict) -> Optional[dict]:
@@ -111,45 +112,68 @@ def _div_terms_2var(num: dict, den: dict) -> Optional[dict]:
 # ---------------------------------------------------------------------------
 
 
-class LaurentPoly1:
-    """Integer Laurent polynomial in the single variable ``s``."""
+def _from_terms(data: dict, nvars: int) -> "LaurentPoly":
+    """Wrap an already normalised term dict without copying it."""
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._terms = data
+    out.nvars = nvars
+    return out
 
-    __slots__ = ("_terms",)
 
-    def __init__(self, terms: Union[Mapping[int, int], Iterable[tuple[int, int]]] = ()):
-        data: dict[int, int] = {}
+class LaurentPoly:
+    """Integer Laurent polynomial in ``v`` and ``s`` or in ``s`` alone.
+
+    ``nvars`` is the ring: 2 for ``Z[v, v^-1, s, s^-1]``, whose terms map
+    exponent pairs ``(e_v, e_s)`` to coefficients, and 1 for ``Z[s, s^-1]``,
+    the target of the ``v = s**-N`` specialisation, whose terms map plain
+    int exponents.  Coefficients are nonzero; the zero polynomial has an
+    empty term map.  Values of different arity never mix: the operators
+    return ``NotImplemented``.
+    """
+
+    __slots__ = ("_terms", "nvars")
+
+    def __init__(self, terms: Union[Mapping, Iterable[tuple]] = (), nvars: int = 2):
+        if nvars not in (1, 2):
+            raise ValueError(f"nvars must be 1 or 2, got {nvars!r}")
+        data: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for e, c in items:
+        for key, c in items:
             if c:
-                c = data.get(e, 0) + c
-                if c:
-                    data[e] = c
-                elif e in data:
-                    del data[e]
+                k = key if nvars == 1 else (key[0], key[1])
+                nc = data.get(k, 0) + c
+                if nc:
+                    data[k] = nc
+                elif k in data:
+                    del data[k]
         self._terms = data
+        self.nvars = nvars
 
     @classmethod
-    def monomial(cls, coeff: int = 1, s: int = 0) -> "LaurentPoly1":
-        return cls({s: coeff})
+    def monomial(cls, coeff: int = 1, v: int = 0, s: int = 0, nvars: int = 2) -> "LaurentPoly":
+        """coeff * v**v * s**s; a one-variable monomial has ``v == 0``."""
+        if nvars == 1 and v:
+            raise ValueError("a one-variable monomial has no v exponent")
+        return cls({(v, s) if nvars == 2 else s: coeff}, nvars)
 
     @classmethod
-    def constant(cls, c: int) -> "LaurentPoly1":
-        return cls({0: c})
+    def constant(cls, c: int, nvars: int = 2) -> "LaurentPoly":
+        return cls.monomial(c, nvars=nvars)
 
     @classmethod
-    def zero(cls) -> "LaurentPoly1":
-        return cls()
+    def zero(cls, nvars: int = 2) -> "LaurentPoly":
+        return cls((), nvars)
 
     @classmethod
-    def one(cls) -> "LaurentPoly1":
-        return cls({0: 1})
+    def one(cls, nvars: int = 2) -> "LaurentPoly":
+        return cls.constant(1, nvars)
 
     @classmethod
-    def quantum_bracket(cls, k: int) -> "LaurentPoly1":
+    def quantum_bracket(cls, k: int, nvars: int = 2) -> "LaurentPoly":
         """The factor s**k - s**-k admitted in denominators."""
         if k < 1:
             raise ValueError(f"quantum bracket index must be >= 1, got {k}")
-        return cls({k: 1, -k: -1})
+        return cls.monomial(1, s=k, nvars=nvars) - cls.monomial(1, s=-k, nvars=nvars)
 
     def items(self):
         return self._terms.items()
@@ -164,25 +188,31 @@ class LaurentPoly1:
         return len(self._terms) == 1 and next(iter(self._terms.values())) == 1
 
     def all_even(self) -> bool:
+        """Whether every s-exponent of a one-variable value is even."""
         return all(e % 2 == 0 for e in self._terms)
 
-    def __eq__(self, other) -> bool:
+    def _coerce(self, other):
         if isinstance(other, int):
-            other = LaurentPoly1.constant(other)
-        if isinstance(other, LaurentPoly1):
-            return self._terms == other._terms
-        return NotImplemented
+            return LaurentPoly.constant(other, self.nvars)
+        if isinstance(other, LaurentPoly) and other.nvars == self.nvars:
+            return other
+        return None
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._terms == other._terms
 
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def __neg__(self) -> "LaurentPoly1":
-        return LaurentPoly1({e: -c for e, c in self._terms.items()})
+    def __neg__(self) -> "LaurentPoly":
+        return LaurentPoly({e: -c for e, c in self._terms.items()}, self.nvars)
 
-    def __add__(self, other) -> "LaurentPoly1":
-        if isinstance(other, int):
-            other = LaurentPoly1.constant(other)
-        if not isinstance(other, LaurentPoly1):
+    def __add__(self, other) -> "LaurentPoly":
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
         data = dict(self._terms)
         for e, c in other._terms.items():
@@ -191,49 +221,57 @@ class LaurentPoly1:
                 data[e] = nc
             elif e in data:
                 del data[e]
-        out = LaurentPoly1.__new__(LaurentPoly1)
-        out._terms = data
-        return out
+        return _from_terms(data, self.nvars)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly1.constant(other)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
-    def __mul__(self, other) -> "LaurentPoly1":
+    def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
             if other == 0:
-                return LaurentPoly1.zero()
-            return LaurentPoly1({e: c * other for e, c in self._terms.items()})
-        if not isinstance(other, LaurentPoly1):
+                return LaurentPoly.zero(self.nvars)
+            return LaurentPoly({e: c * other for e, c in self._terms.items()}, self.nvars)
+        if not isinstance(other, LaurentPoly) or other.nvars != self.nvars:
             return NotImplemented
+        # Dict convolution, one loop per key shape.
         a, b = self._terms, other._terms
         if len(a) < len(b):
             a, b = b, a
-        data: dict[int, int] = {}
-        for e2, c2 in b.items():
-            for e1, c1 in a.items():
-                k = e1 + e2
-                nc = data.get(k, 0) + c1 * c2
-                if nc:
-                    data[k] = nc
-                elif k in data:
-                    del data[k]
-        out = LaurentPoly1.__new__(LaurentPoly1)
-        out._terms = data
-        return out
+        data: dict = {}
+        if self.nvars == 1:
+            for e2, c2 in b.items():
+                for e1, c1 in a.items():
+                    k = e1 + e2
+                    nc = data.get(k, 0) + c1 * c2
+                    if nc:
+                        data[k] = nc
+                    elif k in data:
+                        del data[k]
+        else:
+            for (v2, s2), c2 in b.items():
+                for (v1, s1), c1 in a.items():
+                    k = (v1 + v2, s1 + s2)
+                    nc = data.get(k, 0) + c1 * c2
+                    if nc:
+                        data[k] = nc
+                    elif k in data:
+                        del data[k]
+        return _from_terms(data, self.nvars)
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly1":
+    def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
             raise ValueError("negative powers of a general Laurent polynomial")
-        result = LaurentPoly1.one()
+        result = LaurentPoly.one(self.nvars)
         base = self
         while n:
             if n & 1:
@@ -242,154 +280,10 @@ class LaurentPoly1:
             n >>= 1
         return result
 
-    def exact_div(self, other: "LaurentPoly1") -> Optional["LaurentPoly1"]:
-        """Return q with self == other * q, or None when no such q exists."""
-        if not other._terms:
-            raise ZeroDivisionError("exact division by the zero polynomial")
-        quo = _div_terms_1var(self._terms, other._terms)
-        return None if quo is None else LaurentPoly1(quo)
-
-    def __str__(self) -> str:
-        return format_poly1(self)
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly1({format_poly1(self)!r})"
-
-
-class LaurentPoly2:
-    """Integer Laurent polynomial in ``v`` and ``s``.
-
-    Terms map exponent pairs ``(e_v, e_s)`` to nonzero integer coefficients;
-    the zero polynomial has an empty term map.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(
-        self,
-        terms: Union[Mapping[tuple[int, int], int], Iterable[tuple[tuple[int, int], int]]] = (),
-    ):
-        data: dict[tuple[int, int], int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, c in items:
-            if c:
-                k = (key[0], key[1])
-                nc = data.get(k, 0) + c
-                if nc:
-                    data[k] = nc
-                elif k in data:
-                    del data[k]
-        self._terms = data
-
-    @classmethod
-    def monomial(cls, coeff: int = 1, v: int = 0, s: int = 0) -> "LaurentPoly2":
-        return cls({(v, s): coeff})
-
-    @classmethod
-    def constant(cls, c: int) -> "LaurentPoly2":
-        return cls({(0, 0): c})
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly2":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly2":
-        return cls({(0, 0): 1})
-
-    @classmethod
-    def quantum_bracket(cls, k: int) -> "LaurentPoly2":
-        if k < 1:
-            raise ValueError(f"quantum bracket index must be >= 1, got {k}")
-        return cls({(0, k): 1, (0, -k): -1})
-
-    def items(self):
-        return self._terms.items()
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly2.constant(other)
-        if isinstance(other, LaurentPoly2):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __neg__(self) -> "LaurentPoly2":
-        return LaurentPoly2({e: -c for e, c in self._terms.items()})
-
-    def __add__(self, other) -> "LaurentPoly2":
-        if isinstance(other, int):
-            other = LaurentPoly2.constant(other)
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        data = dict(self._terms)
-        for e, c in other._terms.items():
-            nc = data.get(e, 0) + c
-            if nc:
-                data[e] = nc
-            elif e in data:
-                del data[e]
-        out = LaurentPoly2.__new__(LaurentPoly2)
-        out._terms = data
-        return out
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentPoly2.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other) -> "LaurentPoly2":
-        if isinstance(other, int):
-            if other == 0:
-                return LaurentPoly2.zero()
-            return LaurentPoly2({e: c * other for e, c in self._terms.items()})
-        if not isinstance(other, LaurentPoly2):
-            return NotImplemented
-        a, b = self._terms, other._terms
-        if len(a) < len(b):
-            a, b = b, a
-        data: dict[tuple[int, int], int] = {}
-        for (v2, s2), c2 in b.items():
-            for (v1, s1), c1 in a.items():
-                k = (v1 + v2, s1 + s2)
-                nc = data.get(k, 0) + c1 * c2
-                if nc:
-                    data[k] = nc
-                elif k in data:
-                    del data[k]
-        out = LaurentPoly2.__new__(LaurentPoly2)
-        out._terms = data
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "LaurentPoly2":
-        if n < 0:
-            raise ValueError("negative powers of a general Laurent polynomial")
-        result = LaurentPoly2.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def substitute_v(self, n: int) -> LaurentPoly1:
+    def substitute_v(self, n: int) -> "LaurentPoly":
         """Apply the ring map v -> s**-n, sending v**a s**b to s**(b - n*a)."""
+        if self.nvars != 2:
+            raise TypeError("substitute_v needs a two-variable polynomial")
         if n < 1:
             raise ValueError(f"specialisation index must be >= 1, got {n}")
         data: dict[int, int] = {}
@@ -400,14 +294,17 @@ class LaurentPoly2:
                 data[e] = nc
             elif e in data:
                 del data[e]
-        out = LaurentPoly1.__new__(LaurentPoly1)
-        out._terms = data
-        return out
+        return _from_terms(data, 1)
 
-    def exact_div(self, other: "LaurentPoly2") -> Optional["LaurentPoly2"]:
+    def exact_div(self, other: "LaurentPoly") -> Optional["LaurentPoly"]:
         """Return q with self == other * q, or None when no such q exists."""
+        if other.nvars != self.nvars:
+            raise TypeError("exact division mixes one- and two-variable polynomials")
         if not other._terms:
             raise ZeroDivisionError("exact division by the zero polynomial")
+        if self.nvars == 1:
+            quo = _div_terms_1var(self._terms, other._terms)
+            return None if quo is None else LaurentPoly(quo, 1)
         if all(e[0] == 0 for e in other._terms):
             # Divisor involves only s: divide every v-slice separately.
             den1 = {e[1]: c for e, c in other._terms.items()}
@@ -421,30 +318,15 @@ class LaurentPoly2:
                     return None
                 for es, c in q.items():
                     data[(ev, es)] = c
-            return LaurentPoly2(data)
+            return LaurentPoly(data)
         quo = _div_terms_2var(self._terms, other._terms)
-        return None if quo is None else LaurentPoly2(quo)
+        return None if quo is None else LaurentPoly(quo)
 
     def __str__(self) -> str:
-        return format_poly2(self)
+        return format_poly(self)
 
     def __repr__(self) -> str:
-        return f"LaurentPoly2({format_poly2(self)!r})"
-
-
-def quantum_factor(k: int) -> LaurentPoly2:
-    """The denominator factor s**k - s**-k."""
-    return LaurentPoly2.quantum_bracket(k)
-
-
-def try_exact_div(a, b):
-    """Exact quotient a / b in the ambient Laurent ring, or None.
-
-    Raises ValueError when b is zero.
-    """
-    if b.is_zero():
-        raise ValueError("division by the zero polynomial")
-    return a.exact_div(b)
+        return f"LaurentPoly({format_poly(self)!r}, nvars={self.nvars})"
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +335,13 @@ def try_exact_div(a, b):
 _DEN_POLY_CACHE: dict = {}
 
 
-def _den_poly(cls, den: tuple[int, ...]):
-    key = (cls, den)
+def _den_poly(nvars: int, den: tuple[int, ...]) -> LaurentPoly:
+    key = (nvars, den)
     cached = _DEN_POLY_CACHE.get(key)
     if cached is None:
-        cached = cls.one()
+        cached = LaurentPoly.one(nvars)
         for k in den:
-            cached = cached * cls.quantum_bracket(k)
+            cached = cached * LaurentPoly.quantum_bracket(k, nvars)
         _DEN_POLY_CACHE[key] = cached
     return cached
 
@@ -473,39 +355,20 @@ class RingElem:
     good as any other; ``reduced`` only tidies the representative.
     """
 
-    num: Union[LaurentPoly2, LaurentPoly1]
+    num: LaurentPoly
     den: tuple[int, ...] = ()
 
     def __post_init__(self):
-        den = self.den
-        if any(k < 1 for k in den):
-            raise ValueError(f"bracket indices must be >= 1, got {den}")
-        if self.num.is_zero():
-            den = ()
-        elif list(den) != sorted(den):
-            den = tuple(sorted(den))
-        else:
-            den = tuple(den)
+        if any(k < 1 for k in self.den):
+            raise ValueError(f"bracket indices must be >= 1, got {self.den}")
+        den = () if self.num.is_zero() else tuple(sorted(self.den))
         object.__setattr__(self, "den", den)
 
     __hash__ = None  # value equality is cross-multiplicative; not hashable
 
-    @classmethod
-    def one(cls) -> "RingElem":
-        return cls(LaurentPoly2.one())
-
-    @classmethod
-    def zero(cls) -> "RingElem":
-        return cls(LaurentPoly2.zero())
-
-    @classmethod
-    def from_int(cls, c: int, like: "RingElem" = None) -> "RingElem":
-        base = LaurentPoly2 if like is None else type(like.num)
-        return cls(base.constant(c))
-
     def _coerce(self, other):
         if isinstance(other, int):
-            return RingElem(type(self.num).constant(other))
+            return RingElem(LaurentPoly.constant(other, self.num.nvars))
         if isinstance(other, RingElem):
             return other
         return None
@@ -517,7 +380,7 @@ class RingElem:
         return not self.num.is_zero()
 
     def den_poly(self):
-        return _den_poly(type(self.num), self.den)
+        return _den_poly(self.num.nvars, self.den)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -529,8 +392,8 @@ class RingElem:
         common = ca & cb
         ea = tuple(sorted((ca - common).elements()))
         eb = tuple(sorted((cb - common).elements()))
-        cls = type(self.num)
-        return self.num * _den_poly(cls, eb) == other.num * _den_poly(cls, ea)
+        nvars = self.num.nvars
+        return self.num * _den_poly(nvars, eb) == other.num * _den_poly(nvars, ea)
 
     def __neg__(self) -> "RingElem":
         return RingElem(-self.num, self.den)
@@ -545,8 +408,8 @@ class RingElem:
         union = ca | cb
         ea = tuple(sorted((union - ca).elements()))
         eb = tuple(sorted((union - cb).elements()))
-        cls = type(self.num)
-        num = self.num * _den_poly(cls, ea) + other.num * _den_poly(cls, eb)
+        nvars = self.num.nvars
+        num = self.num * _den_poly(nvars, ea) + other.num * _den_poly(nvars, eb)
         return RingElem(num, tuple(sorted(union.elements())))
 
     __radd__ = __add__
@@ -571,7 +434,7 @@ class RingElem:
     def __pow__(self, n: int) -> "RingElem":
         if n < 0:
             raise ValueError("negative powers are not defined for RingElem")
-        result = RingElem(type(self.num).one())
+        result = RingElem(LaurentPoly.one(self.num.nvars))
         base = self
         while n:
             if n & 1:
@@ -588,10 +451,9 @@ class RingElem:
         num = self.num
         if num.is_zero() or not self.den:
             return self
-        cls = type(num)
         remaining = list(self.den)
         for k in sorted(set(remaining), reverse=True):
-            bracket = cls.quantum_bracket(k)
+            bracket = LaurentPoly.quantum_bracket(k, num.nvars)
             while k in remaining:
                 quo = num.exact_div(bracket)
                 if quo is None:
@@ -602,8 +464,6 @@ class RingElem:
 
     def substitute_v(self, n: int) -> "RingElem":
         """Image under v -> s**-n; denominators map factor by factor."""
-        if not isinstance(self.num, LaurentPoly2):
-            raise TypeError("substitute_v needs a two-variable numerator")
         return RingElem(self.num.substitute_v(n), self.den).reduced()
 
     def __str__(self) -> str:
@@ -635,15 +495,15 @@ def determinant(matrix: Sequence[Sequence], bareiss_threshold: int = 12):
 
 def _det_expansion(matrix):
     n = len(matrix)
-    cls = type(matrix[0][0])
-    memo = {0: cls.one()}
+    nvars = matrix[0][0].nvars
+    memo = {0: LaurentPoly.one(nvars)}
 
     def minor(mask: int):
         cached = memo.get(mask)
         if cached is not None:
             return cached
         row = n - bin(mask).count("1")
-        total = cls.zero()
+        total = LaurentPoly.zero(nvars)
         sign = 1
         m = mask
         while m:
@@ -663,10 +523,10 @@ def _det_expansion(matrix):
 
 def _det_bareiss(matrix):
     n = len(matrix)
-    cls = type(matrix[0][0])
+    nvars = matrix[0][0].nvars
     m = [list(row) for row in matrix]
     sign = 1
-    prev = cls.one()
+    prev = LaurentPoly.one(nvars)
     for k in range(n - 1):
         if m[k][k].is_zero():
             for i in range(k + 1, n):
@@ -675,7 +535,7 @@ def _det_bareiss(matrix):
                     sign = -sign
                     break
             else:
-                return cls.zero()
+                return LaurentPoly.zero(nvars)
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
@@ -683,7 +543,7 @@ def _det_bareiss(matrix):
                 if quo is None:
                     raise ConsistencyError("Bareiss division failed to be exact")
                 m[i][j] = quo
-            m[i][k] = cls.zero()
+            m[i][k] = LaurentPoly.zero(nvars)
         prev = m[k][k]
     result = m[n - 1][n - 1]
     return result if sign > 0 else -result
@@ -698,7 +558,7 @@ def det_fractions(matrix: Sequence[Sequence[RingElem]]) -> RingElem:
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix")
-    cls = type(matrix[0][0].num)
+    nvars = matrix[0][0].num.nvars
     cleared = []
     total_den: list[int] = []
     for row in matrix:
@@ -709,7 +569,7 @@ def det_fractions(matrix: Sequence[Sequence[RingElem]]) -> RingElem:
         new_row = []
         for entry in row:
             extra = tuple(sorted((union - Counter(entry.den)).elements()))
-            new_row.append(entry.num * _den_poly(cls, extra))
+            new_row.append(entry.num * _den_poly(nvars, extra))
         cleared.append(new_row)
     det = determinant(cleared)
     return RingElem(det, tuple(sorted(total_den)))
@@ -719,35 +579,24 @@ def det_fractions(matrix: Sequence[Sequence[RingElem]]) -> RingElem:
 # canonical text and JSON forms
 
 
-def format_poly2(p: LaurentPoly2) -> str:
-    """Sum of ``c*v^a*s^b`` terms sorted by (a, b) descending."""
-    if p.is_zero():
-        return "0"
-    pieces = []
-    for (ev, es), c in sorted(p.items(), reverse=True):
-        body = f"{abs(c)}*v^{ev}*s^{es}"
-        if not pieces:
-            pieces.append(body if c > 0 else "-" + body)
-        else:
-            pieces.append((" + " if c > 0 else " - ") + body)
-    return "".join(pieces)
+def format_poly(p: LaurentPoly, variable: str = "s") -> str:
+    """Sum of ``c*v^a*s^b`` (two variables) or ``c*s^b`` (one variable)
+    terms, sorted by exponent descending.
 
-
-def format_poly1(p: LaurentPoly1, variable: str = "s") -> str:
-    """Sum of ``c*s^b`` terms sorted by exponent descending.
-
-    ``variable='q'`` rewrites exponents in q = s**2 and requires them all
-    even.
+    ``variable='q'`` rewrites the s-exponents in q = s**2 and requires them
+    all even.
     """
     if p.is_zero():
         return "0"
     pieces = []
     for e, c in sorted(p.items(), reverse=True):
+        ev, es = e if p.nvars == 2 else (None, e)
         if variable == "q":
-            if e % 2:
+            if es % 2:
                 raise ValueError("odd s-exponent has no q form")
-            e //= 2
-        body = f"{abs(c)}*{variable}^{e}"
+            es //= 2
+        v_part = "" if ev is None else f"v^{ev}*"
+        body = f"{abs(c)}*{v_part}{variable}^{es}"
         if not pieces:
             pieces.append(body if c > 0 else "-" + body)
         else:
@@ -756,7 +605,7 @@ def format_poly1(p: LaurentPoly1, variable: str = "s") -> str:
 
 
 def format_ring_elem(x: RingElem) -> str:
-    num = format_poly2(x.num) if isinstance(x.num, LaurentPoly2) else format_poly1(x.num)
+    num = format_poly(x.num)
     if not x.den:
         return num
     brackets = "".join(f"[{k}]" for k in x.den)
@@ -802,20 +651,16 @@ def _parse_term(chunk: str, univariate: bool):
     return coeff, ev, es
 
 
-def parse_poly2(text: str) -> LaurentPoly2:
+def parse_poly(text: str, univariate: bool = False) -> LaurentPoly:
+    """Parse a sum of terms; ``univariate`` reads a polynomial in s alone."""
     terms = []
     for sign, chunk in _split_sum(text):
-        coeff, ev, es = _parse_term(chunk, univariate=False)
-        terms.append(((ev, es), sign * coeff))
-    return LaurentPoly2(terms)
+        coeff, ev, es = _parse_term(chunk, univariate)
+        terms.append((es if univariate else (ev, es), sign * coeff))
+    return LaurentPoly(terms, 1 if univariate else 2)
 
 
-def parse_poly1(text: str) -> LaurentPoly1:
-    terms = []
-    for sign, chunk in _split_sum(text):
-        coeff, _, es = _parse_term(chunk, univariate=True)
-        terms.append((es, sign * coeff))
-    return LaurentPoly1(terms)
+_BRACKETS_RE = re.compile(r"(?:\s*\[\d+\])+\s*")
 
 
 def parse_ring_elem(text: str, univariate: bool = False) -> RingElem:
@@ -824,33 +669,41 @@ def parse_ring_elem(text: str, univariate: bool = False) -> RingElem:
     den: tuple[int, ...] = ()
     if "/" in text:
         num_part, den_part = text.rsplit("/", 1)
+        if not _BRACKETS_RE.fullmatch(den_part):
+            raise ValueError(f"expected bracket factors [k] after '/', got {den_part.strip()!r}")
         den = tuple(sorted(int(k) for k in re.findall(r"\[(\d+)\]", den_part)))
         text = num_part.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1].strip()
-    num = parse_poly1(text) if univariate else parse_poly2(text)
-    return RingElem(num, den)
+    return RingElem(parse_poly(text, univariate), den)
 
 
 def ring_elem_to_json(x: RingElem) -> dict:
     """JSON object mirroring the term map, plus the canonical text form."""
-    if isinstance(x.num, LaurentPoly2):
-        nvars = 2
-        num = [[ev, es, c] for (ev, es), c in sorted(x.num.items(), reverse=True)]
+    terms = sorted(x.num.items(), reverse=True)
+    if x.num.nvars == 2:
+        num = [[ev, es, c] for (ev, es), c in terms]
     else:
-        nvars = 1
-        num = [[e, c] for e, c in sorted(x.num.items(), reverse=True)]
-    return {"vars": nvars, "num": num, "den": list(x.den), "text": format_ring_elem(x)}
+        num = [[e, c] for e, c in terms]
+    return {"vars": x.num.nvars, "num": num, "den": list(x.den), "text": format_ring_elem(x)}
 
 
 def ring_elem_from_json(obj: Mapping) -> RingElem:
+    """Inverse of ``ring_elem_to_json``; the ``text`` field is not read.
+
+    Raises ValueError unless ``vars`` is 1 or 2 (it is inferred from the
+    term length when absent) and every term holds exactly ``vars + 1``
+    integers.
+    """
     den = tuple(sorted(int(k) for k in obj.get("den", ())))
     nvars = obj.get("vars")
     num_terms = obj["num"]
     if nvars is None:
         nvars = 2 if any(len(t) == 3 for t in num_terms) else 1
-    if nvars == 2:
-        num = LaurentPoly2({(int(t[0]), int(t[1])): int(t[2]) for t in num_terms})
-    else:
-        num = LaurentPoly1({int(t[0]): int(t[1]) for t in num_terms})
-    return RingElem(num, den)
+    if nvars not in (1, 2):
+        raise ValueError(f"vars must be 1 or 2, got {nvars!r}")
+    for t in num_terms:
+        if len(t) != nvars + 1 or not all(isinstance(x, int) for x in t):
+            raise ValueError(f"a {nvars}-variable term is {nvars + 1} integers, got {t!r}")
+    terms = [((t[0], t[1]) if nvars == 2 else t[0], t[-1]) for t in num_terms]
+    return RingElem(LaurentPoly(terms, nvars), den)

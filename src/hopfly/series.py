@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Sequence
 
-from .ring import LaurentPoly2, RingElem, det_fractions
+from .ring import LaurentPoly, RingElem, det_fractions
 from .partitions import Partition
 
 
@@ -30,18 +30,18 @@ class TruncatedSeries:
 
     @classmethod
     def one(cls, degree: int, like: RingElem | None = None) -> "TruncatedSeries":
-        base = LaurentPoly2 if like is None else type(like.num)
-        one = RingElem(base.one())
-        zero = RingElem(base.zero())
+        nvars = 2 if like is None else like.num.nvars
+        one = RingElem(LaurentPoly.one(nvars))
+        zero = RingElem(LaurentPoly.zero(nvars))
         return cls((one,) + (zero,) * degree)
 
     @classmethod
     def linear_factor(cls, u: RingElem, sign: int, degree: int) -> "TruncatedSeries":
         """(1 + u*t)**sign to the requested degree, sign in {+1, -1}."""
-        base = type(u.num)
-        one = RingElem(base.one())
+        nvars = u.num.nvars
+        one = RingElem(LaurentPoly.one(nvars))
         if sign == 1:
-            zero = RingElem(base.zero())
+            zero = RingElem(LaurentPoly.zero(nvars))
             coeffs = [one, u] + [zero] * (degree - 1)
             return cls(tuple(coeffs[: degree + 1]))
         if sign == -1:
@@ -59,15 +59,10 @@ class TruncatedSeries:
 
     def coeff(self, k: int) -> RingElem:
         if k < 0:
-            return RingElem(type(self.coeffs[0].num).zero())
+            return RingElem(LaurentPoly.zero(self.coeffs[0].num.nvars))
         if k > self.degree:
             raise ValueError(f"coefficient {k} beyond truncation degree {self.degree}")
         return self.coeffs[k]
-
-    def truncate(self, degree: int) -> "TruncatedSeries":
-        if degree > self.degree:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: degree + 1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -77,10 +72,6 @@ class TruncatedSeries:
         )
 
     __hash__ = None
-
-    def agrees_with(self, other: "TruncatedSeries", degree: int | None = None) -> bool:
-        d = min(self.degree, other.degree) if degree is None else degree
-        return all(self.coeff(k) == other.coeff(k) for k in range(d + 1))
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
         """Cauchy product, truncated to the smaller degree."""
@@ -93,11 +84,6 @@ class TruncatedSeries:
             out.append(acc.reduced())
         return TruncatedSeries(tuple(out))
 
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return self.mul(other)
-        return NotImplemented
-
     def invert(self) -> "TruncatedSeries":
         """The series B with self * B = 1 to the truncation degree.
 
@@ -105,8 +91,7 @@ class TruncatedSeries:
         """
         if not (self.coeffs[0] == 1):
             raise ValueError("series inversion needs constant coefficient 1")
-        base = type(self.coeffs[0].num)
-        out = [RingElem(base.one())]
+        out = [RingElem(LaurentPoly.one(self.coeffs[0].num.nvars))]
         for k in range(1, self.degree + 1):
             acc = self.coeffs[1] * out[k - 1]
             for i in range(2, k + 1):
@@ -117,7 +102,7 @@ class TruncatedSeries:
     def scale_t(self, alpha: RingElem) -> "TruncatedSeries":
         """The series of t -> alpha*t: coefficient k picks up alpha**k."""
         out = [self.coeffs[0]]
-        power = RingElem(type(alpha.num).one())
+        power = RingElem(LaurentPoly.one(alpha.num.nvars))
         for k in range(1, self.degree + 1):
             power = (power * alpha).reduced()
             out.append((self.coeffs[k] * power).reduced())
@@ -139,18 +124,6 @@ class TruncatedSeries:
         return " + ".join(pieces)
 
 
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return a.mul(b)
-
-
-def series_invert(a: TruncatedSeries) -> TruncatedSeries:
-    return a.invert()
-
-
-def linear_factor(u: RingElem, sign: int, degree: int) -> TruncatedSeries:
-    return TruncatedSeries.linear_factor(u, sign, degree)
-
-
 def schur_of_series(mu: Partition, series: TruncatedSeries) -> RingElem:
     """Jacobi-Trudy determinant det(e_{mu'_i + j - i}) of the coefficients.
 
@@ -158,7 +131,7 @@ def schur_of_series(mu: Partition, series: TruncatedSeries) -> RingElem:
     an index beyond the truncation degree raises rather than truncating.
     """
     if mu.size == 0:
-        return RingElem(type(series.coeffs[0].num).one())
+        return RingElem(LaurentPoly.one(series.coeffs[0].num.nvars))
     conj = mu.conjugate()
     r = mu.parts[0]
     needed = conj.parts[0] + r - 1

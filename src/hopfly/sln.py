@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-from .ring import ConsistencyError, LaurentPoly1, RingElem, determinant, _den_poly
+from .ring import ConsistencyError, LaurentPoly, RingElem, determinant
 from .partitions import EMPTY, Partition
 from .hopf import hopf_invariant
 
@@ -42,7 +42,7 @@ def _correction(lam: Partition, mu: Partition, n: int) -> Fraction:
     return Fraction(-2 * lam.size * mu.size, n)
 
 
-def vandermonde_minor(lam: Partition, mu: Partition, n: int) -> LaurentPoly1:
+def vandermonde_minor(lam: Partition, mu: Partition, n: int) -> LaurentPoly:
     """The N x N minor of (q**(i*j)) on rows index_set(mu), columns
     index_set(lam), both taken in decreasing order (q = s**2)."""
     if n < lam.length or n < mu.length:
@@ -51,7 +51,7 @@ def vandermonde_minor(lam: Partition, mu: Partition, n: int) -> LaurentPoly1:
         )
     rows = mu.index_set(n)
     cols = lam.index_set(n)
-    matrix = [[LaurentPoly1.monomial(1, 2 * i * j) for j in cols] for i in rows]
+    matrix = [[LaurentPoly.monomial(1, s=2 * i * j, nvars=1) for j in cols] for i in rows]
     return determinant(matrix)
 
 
@@ -60,7 +60,7 @@ def hopf_sln_minor(lam: Partition, mu: Partition, n: int) -> SlNResult:
     failure is a hard internal error."""
     minor = vandermonde_minor(lam, mu, n)
     reference = vandermonde_minor(EMPTY, EMPTY, n)
-    shifted = minor * LaurentPoly1.monomial(1, (1 - n) * (lam.size + mu.size))
+    shifted = minor * LaurentPoly.monomial(1, s=(1 - n) * (lam.size + mu.size), nvars=1)
     quo = shifted.exact_div(reference)
     if quo is None:
         raise ConsistencyError(
@@ -107,8 +107,8 @@ def sl2_quantum_check(a: int, b: int, i: int, j: int) -> Sl2Check:
     value = hopf_sln_substitution(lam, mu, 2).value
     if value.is_zero():
         return Sl2Check(False)
-    numer = value.num * LaurentPoly1({2: 1, 0: -1})
-    denom = LaurentPoly1({2 * a * b: 1, 0: -1}) * _den_poly(LaurentPoly1, value.den)
+    numer = value.num * LaurentPoly({2: 1, 0: -1}, nvars=1)
+    denom = LaurentPoly({2 * a * b: 1, 0: -1}, nvars=1) * value.den_poly()
     quo = numer.exact_div(denom)
     if quo is None or not quo.is_unit_monomial():
         return Sl2Check(False)
@@ -122,6 +122,6 @@ def sln_elementary_factors(lam: Partition, n: int) -> tuple[RingElem, ...]:
     if n < lam.length:
         raise ValueError(f"need n >= number of parts: n={n}, lam={lam}")
     return tuple(
-        RingElem(LaurentPoly1.monomial(1, n + 2 * lam.part(j) - 2 * j + 1))
+        RingElem(LaurentPoly.monomial(1, s=n + 2 * lam.part(j) - 2 * j + 1, nvars=1))
         for j in range(1, n + 1)
     )

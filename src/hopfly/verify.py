@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Iterable
 
-from .ring import LaurentPoly2, RingElem
+from .ring import LaurentPoly, RingElem
 from .partitions import (
     EMPTY,
     Partition,
@@ -21,7 +21,7 @@ from .partitions import (
     pieri_column,
     row_partition,
 )
-from .series import TruncatedSeries, schur_of_series
+from .series import TruncatedSeries, schur_classical, schur_of_series
 from .hopf import (
     _hopf_value,
     complete_series,
@@ -113,12 +113,12 @@ def check_series_product_forms(max_size: int = 6, degree: int = 10) -> CheckResu
 
 def check_unknot_recursions(max_index: int = 8) -> CheckResult:
     bad = []
-    delta_num = LaurentPoly2({(-1, 0): 1, (1, 0): -1})
+    delta_num = LaurentPoly({(-1, 0): 1, (1, 0): -1})
     for r in range(max_index):
-        step = RingElem(LaurentPoly2({(-1, -r): 1, (1, r): -1}), (r + 1,))
+        step = RingElem(LaurentPoly({(-1, -r): 1, (1, r): -1}), (r + 1,))
         if eval_unknot(column_partition(r + 1)) != step * eval_unknot(column_partition(r)):
             bad.append(("column", r + 1))
-        step = RingElem(LaurentPoly2({(-1, r): 1, (1, -r): -1}), (r + 1,))
+        step = RingElem(LaurentPoly({(-1, r): 1, (1, -r): -1}), (r + 1,))
         if eval_unknot(row_partition(r + 1)) != step * eval_unknot(row_partition(r)):
             bad.append(("row", r + 1))
     for i in range(1, max_index + 1):
@@ -126,11 +126,11 @@ def check_unknot_recursions(max_index: int = 8) -> CheckResult:
             lhs = (
                 eval_unknot(hook_partition(i, j))
                 * RingElem(delta_num)
-                * RingElem(LaurentPoly2.quantum_bracket(i + j - 1))
+                * RingElem(LaurentPoly.quantum_bracket(i + j - 1))
             )
             rhs = (
-                RingElem(LaurentPoly2.quantum_bracket(j))
-                * RingElem(LaurentPoly2.quantum_bracket(i))
+                RingElem(LaurentPoly.quantum_bracket(j))
+                * RingElem(LaurentPoly.quantum_bracket(i))
                 * eval_unknot(column_partition(i))
                 * eval_unknot(row_partition(j))
             )
@@ -166,7 +166,7 @@ def check_multiplicativity(max_size: int = 4, max_strip: int = 3) -> CheckResult
                 lhs = _hopf_value(lam, column_partition(i)) * _hopf_value(
                     lam, column_partition(j)
                 )
-                total = RingElem(LaurentPoly2.zero())
+                total = RingElem(LaurentPoly.zero())
                 for nu in pieri_column(column_partition(i), j):
                     total = total + _hopf_value(lam, nu)
                 if lhs != unknot * total:
@@ -180,8 +180,8 @@ def check_multiplicativity(max_size: int = 4, max_strip: int = 3) -> CheckResult
 
 def check_content_polynomial_ratio(max_size: int = 6, degree: int = 8) -> CheckResult:
     bad = []
-    up = RingElem(LaurentPoly2.monomial(1, -1, 1))
-    down = RingElem(LaurentPoly2.monomial(1, -1, -1))
+    up = RingElem(LaurentPoly.monomial(1, -1, 1))
+    down = RingElem(LaurentPoly.monomial(1, -1, -1))
     for lam in partitions_up_to(max_size):
         ratio = content_polynomial(lam, up, degree).mul(
             content_polynomial(lam, down, degree).invert()
@@ -191,12 +191,12 @@ def check_content_polynomial_ratio(max_size: int = 6, degree: int = 8) -> CheckR
         for a, b in zip(arms, legs):
             factors = factors.mul(
                 TruncatedSeries.linear_factor(
-                    RingElem(LaurentPoly2.monomial(1, -1, 2 * a + 1)), 1, degree
+                    RingElem(LaurentPoly.monomial(1, -1, 2 * a + 1)), 1, degree
                 )
             )
             factors = factors.mul(
                 TruncatedSeries.linear_factor(
-                    RingElem(LaurentPoly2.monomial(1, -1, -2 * b - 1)), -1, degree
+                    RingElem(LaurentPoly.monomial(1, -1, -2 * b - 1)), -1, degree
                 )
             )
         if ratio != factors:
@@ -255,13 +255,10 @@ def check_minor_symmetry(max_size: int = 4, max_n: int = 4) -> CheckResult:
 
 
 def check_minor_bialternant(max_size: int = 4, max_n: int = 4) -> CheckResult:
-    from .series import schur_classical
-    from .ring import LaurentPoly1
-
     bad = []
     for lam, mu in _all_pairs(max_size):
         for n in range(max(lam.length, mu.length, 1), max_n + 1):
-            xs = [RingElem(LaurentPoly1.monomial(1, 2 * e)) for e in mu.index_set(n)]
+            xs = [RingElem(LaurentPoly.monomial(1, s=2 * e, nvars=1)) for e in mu.index_set(n)]
             lhs = schur_classical(lam, xs)
             numerator = vandermonde_minor(lam, mu, n)
             reference = vandermonde_minor(EMPTY, mu, n)
@@ -293,8 +290,8 @@ def check_sl2_structure(max_ab: int = 4, max_ij: int = 2) -> CheckResult:
 def check_schur_homogeneity(max_size: int = 4, degree: int = 6) -> CheckResult:
     base = elementary_series(Partition((2, 1)), degree)
     alphas = [
-        RingElem(LaurentPoly2.monomial(3, 1, -2)),
-        RingElem(LaurentPoly2({(0, 0): 1, (1, 1): 2})),
+        RingElem(LaurentPoly.monomial(3, 1, -2)),
+        RingElem(LaurentPoly({(0, 0): 1, (1, 1): 2})),
     ]
     bad = []
     for lam in partitions_up_to(max_size):

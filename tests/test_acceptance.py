@@ -3,7 +3,7 @@ prints one pass/fail line."""
 
 import time
 
-from hopfly.ring import LaurentPoly1, LaurentPoly2, RingElem
+from hopfly.ring import LaurentPoly, RingElem
 from hopfly.partitions import Partition
 from hopfly.hopf import (
     _hopf_value,
@@ -15,8 +15,7 @@ from hopfly.hopf import (
 from hopfly.sln import hopf_sln_minor, hopf_sln_substitution, vandermonde_minor
 from hopfly import verify
 
-P2 = LaurentPoly2
-L1 = LaurentPoly1
+P2 = LaurentPoly
 
 
 def report(number, ok, description):
@@ -30,7 +29,7 @@ def vq(ev, d):
 
 
 def qp(d):
-    return L1({2 * e: c for e, c in d.items()})
+    return LaurentPoly({2 * e: c for e, c in d.items()}, nvars=1)
 
 
 def test_criterion_1_golden_two_variable():
@@ -75,7 +74,7 @@ def test_criterion_2_golden_sl3():
         * qp({8: 1, 4: 1, 3: 1, 2: -1, 0: 1})
         * qp({2: 1, 0: 1})
         * qp({4: 1, 3: 1, 2: 1, 1: 1, 0: 1})
-        * L1.monomial(1, -6)
+        * LaurentPoly.monomial(1, s=-6, nvars=1)
     )
     sub = hopf_sln_substitution(Partition((3, 1)), Partition((2, 2)), 3).value
     minor = hopf_sln_minor(Partition((3, 1)), Partition((2, 2)), 3).value

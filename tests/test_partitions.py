@@ -5,7 +5,6 @@ from hopfly.partitions import (
     Partition,
     column_partition,
     hook_partition,
-    index_set,
     partitions_of,
     partitions_up_to,
     pieri_column,
@@ -115,11 +114,9 @@ class TestHooksAndContents:
         # sum(hl - cn - 1) over cells is even, non-negative, and equals
         # twice the staircase weight sum (i-1)*lam_i.
         for lam in partitions_up_to(8):
-            total = sum(
-                lam.hook_length(i, j) - (j - i) - 1 for (i, j) in lam.cells()
-            )
+            total = sum(h - c - 1 for h, c in zip(lam.hooks(), lam.contents()))
             assert total >= 0 and total % 2 == 0
-            assert total == 2 * lam.row_weight()
+            assert total == 2 * sum(i * p for i, p in enumerate(lam.parts))
 
     def test_single_cell(self):
         lam = P(1)
@@ -129,22 +126,22 @@ class TestHooksAndContents:
 
 class TestIndexSets:
     def test_examples(self):
-        assert set(index_set(P(3, 1), 3)) == {5, 2, 0}
-        assert set(index_set(P(2, 2), 3)) == {4, 3, 0}
-        assert index_set(EMPTY, 4) == (3, 2, 1, 0)
+        assert set(P(3, 1).index_set(3)) == {5, 2, 0}
+        assert set(P(2, 2).index_set(3)) == {4, 3, 0}
+        assert EMPTY.index_set(4) == (3, 2, 1, 0)
 
     def test_descending_and_distinct(self):
         for lam in partitions_up_to(6):
             for n in range(lam.length, lam.length + 3):
                 if n == 0:
                     continue
-                idx = index_set(lam, n)
+                idx = lam.index_set(n)
                 assert list(idx) == sorted(idx, reverse=True)
                 assert len(set(idx)) == n
 
     def test_too_small_n(self):
         with pytest.raises(ValueError):
-            index_set(P(1, 1, 1), 2)
+            P(1, 1, 1).index_set(2)
 
 
 class TestHookPartition:

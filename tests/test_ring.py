@@ -2,21 +2,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfly.ring import (
-    LaurentPoly1,
-    LaurentPoly2,
+    LaurentPoly,
     RingElem,
     determinant,
+    format_poly,
     format_ring_elem,
-    parse_poly2,
+    parse_poly,
     parse_ring_elem,
-    quantum_factor,
     ring_elem_from_json,
     ring_elem_to_json,
-    try_exact_div,
 )
 
-P2 = LaurentPoly2
-P1 = LaurentPoly1
+P2 = LaurentPoly
+
+
+def P1(terms=()):
+    return LaurentPoly(terms, nvars=1)
+
 
 DELTA = RingElem(P2({(-1, 0): 1, (1, 0): -1}), (1,))
 
@@ -53,9 +55,9 @@ class TestLaurentArithmetic:
         assert dict(p.items()) == {(0, 1): 5}
 
     def test_quantum_factor_values(self):
-        assert quantum_factor(1) == P2({(0, 1): 1, (0, -1): -1})
-        assert quantum_factor(2) == P2({(0, 2): 1, (0, -2): -1})
-        assert quantum_factor(3) == P2({(0, 3): 1, (0, -3): -1})
+        assert P2.quantum_bracket(1) == P2({(0, 1): 1, (0, -1): -1})
+        assert P2.quantum_bracket(2) == P2({(0, 2): 1, (0, -2): -1})
+        assert P2.quantum_bracket(3) == P2({(0, 3): 1, (0, -3): -1})
         with pytest.raises(ValueError):
             P2.quantum_bracket(0)
 
@@ -64,6 +66,40 @@ class TestLaurentArithmetic:
         p = P2({(-1, 0): 1, (1, 0): -1})
         assert p.substitute_v(2) == P1({2: 1, -2: -1})
 
+    def test_one_variable_constructors(self):
+        assert P1({3: 1}) == LaurentPoly.monomial(1, s=3, nvars=1)
+        assert LaurentPoly.quantum_bracket(2, nvars=1) == P1({2: 1, -2: -1})
+        assert LaurentPoly.constant(5, nvars=1) == P1({0: 5})
+        assert LaurentPoly.one(nvars=1) == 1 and LaurentPoly.zero(nvars=1).is_zero()
+        with pytest.raises(ValueError):
+            LaurentPoly.monomial(1, v=1, nvars=1)
+        with pytest.raises(ValueError):
+            LaurentPoly({}, nvars=3)
+
+    def test_arities_do_not_mix(self):
+        one_var, two_var = LaurentPoly.one(nvars=1), LaurentPoly.one()
+        assert one_var.nvars == 1 and two_var.nvars == 2
+        assert one_var != two_var
+        for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+            with pytest.raises(TypeError):
+                op(one_var, two_var)
+            with pytest.raises(TypeError):
+                op(two_var, one_var)
+        with pytest.raises(TypeError):
+            one_var.exact_div(two_var)
+        with pytest.raises(TypeError):
+            one_var.substitute_v(2)
+        with pytest.raises(TypeError):
+            RingElem(one_var).substitute_v(2)
+
+    def test_format_poly_both_arities(self):
+        assert format_poly(P2({(1, -2): 3, (0, 4): -1})) == "3*v^1*s^-2 - 1*v^0*s^4"
+        assert format_poly(P1({4: -1, -2: 2})) == "-1*s^4 + 2*s^-2"
+        assert format_poly(P1({4: -1, -2: 2}), variable="q") == "-1*q^2 + 2*q^-1"
+        assert format_poly(P1()) == "0"
+        with pytest.raises(ValueError):
+            format_poly(P1({1: 1}), variable="q")
+
 
 class TestRingElem:
     def test_multiplicative_inverse_pair(self):
@@ -71,7 +107,7 @@ class TestRingElem:
         # representable bracket fraction, so the product-equals-one identity
         # is checked in cross-multiplied form: delta * (s - s^-1) = v^-1 - v.
         vdiff = P2({(-1, 0): 1, (1, 0): -1})
-        assert DELTA * RingElem(quantum_factor(1)) == RingElem(vdiff)
+        assert DELTA * RingElem(P2.quantum_bracket(1)) == RingElem(vdiff)
 
     def test_delta_squared(self):
         # Expanded by hand: (v^-1 - v)^2 = v^-2 - 2 + v^2
@@ -84,28 +120,32 @@ class TestRingElem:
         assert val.den == ()  # (s^2-s^-2)/(s-s^-1) reduces to s + s^-1
 
     def test_equality_is_cross_multiplicative(self):
-        a = RingElem(quantum_factor(2), (1, 1))  # (s^2-s^-2)/(s-s^-1)^2
+        a = RingElem(P2.quantum_bracket(2), (1, 1))  # (s^2-s^-2)/(s-s^-1)^2
         b = RingElem(P2({(0, 1): 1, (0, -1): 1}), (1,))  # (s+s^-1)/(s-s^-1)
         assert a == b
         assert not (a == a + 1)
 
     def test_int_comparisons(self):
         assert RingElem(P2.zero(), ()) == 0
-        assert RingElem(quantum_factor(1), (1,)) == 1
+        assert RingElem(P2.quantum_bracket(1), (1,)) == 1
 
 
 class TestExactDivision:
     def test_quantum_integer_factorisation(self):
-        q = try_exact_div(quantum_factor(2), quantum_factor(1))
+        q = P2.quantum_bracket(2).exact_div(P2.quantum_bracket(1))
         assert q == P2({(0, 1): 1, (0, -1): 1})
+        q = P2.quantum_bracket(2, nvars=1).exact_div(P2.quantum_bracket(1, nvars=1))
+        assert q == P1({1: 1, -1: 1})
 
     def test_v_does_not_divide_out(self):
         a = P2({(2, 0): 1, (0, 0): -1})  # v^2 - 1
-        assert try_exact_div(a, quantum_factor(1)) is None
+        assert a.exact_div(P2.quantum_bracket(1)) is None
 
     def test_zero_divisor_rejected(self):
-        with pytest.raises(ValueError):
-            try_exact_div(P2.one(), P2.zero())
+        with pytest.raises(ZeroDivisionError):
+            P2.one().exact_div(P2.zero())
+        with pytest.raises(ZeroDivisionError):
+            P1({0: 1}).exact_div(P1())
 
     def test_golden_prefactor_single_variable_division(self):
         # Numerator of the worked-example prefactor, specialised at N=3,
@@ -153,7 +193,7 @@ def test_cross_multiplication_equivalence(x, ks1, ks2):
     def rescale(val, ks):
         num = val.num
         for k in ks:
-            num = num * LaurentPoly2.quantum_bracket(k)
+            num = num * LaurentPoly.quantum_bracket(k)
         return RingElem(num, tuple(sorted(val.den + tuple(ks))))
 
     r1 = rescale(x, ks1)
@@ -184,7 +224,29 @@ def test_json_roundtrip(x):
 
 
 def test_parse_accepts_q_terms():
-    assert parse_poly2("1*q^2 - 1*q^0") == P2({(0, 4): 1, (0, 0): -1})
+    assert parse_poly("1*q^2 - 1*q^0") == P2({(0, 4): 1, (0, 0): -1})
+    assert parse_poly("1*q^2 - 1*q^0", univariate=True) == P1({4: 1, 0: -1})
+
+
+def test_parse_rejects_anything_but_brackets_after_slash():
+    for text in ("(1*v^0*s^0) / garbage", "(1*v^0*s^0) / [2]junk[3]", "(1*v^0*s^0) /"):
+        with pytest.raises(ValueError):
+            parse_ring_elem(text)
+    assert parse_ring_elem("(1*v^0*s^0) / [3][2]").den == (2, 3)
+    assert parse_ring_elem("(1*s^0) / [2] [1] ", univariate=True).den == (1, 2)
+
+
+def test_json_rejects_malformed_terms():
+    with pytest.raises(ValueError):
+        ring_elem_from_json({"vars": 1, "num": [[0, 0, 1]]})
+    with pytest.raises(ValueError):
+        ring_elem_from_json({"vars": 2, "num": [[1, 1]]})
+    with pytest.raises(ValueError):
+        ring_elem_from_json({"vars": 3, "num": [[1, 1, 1, 1]]})
+    with pytest.raises(ValueError):
+        ring_elem_from_json({"vars": 2, "num": [[1, "1", 1]]})
+    one_var = ring_elem_from_json({"vars": 1, "num": [[2, 3]], "den": [1]})
+    assert one_var == RingElem(P1({2: 3}), (1,))
 
 
 class TestDeterminant:

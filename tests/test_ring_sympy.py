@@ -1,0 +1,115 @@
+"""Differential tests of the Laurent kernels against sympy's ``Poly``.
+
+Each Laurent polynomial is shifted by a monomial to a plain polynomial
+(every exponent >= 0, the least one 0 in each variable) before sympy sees
+it, and sympy's answer is shifted back.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hopfly.ring import LaurentPoly
+
+sympy = pytest.importorskip("sympy")
+
+V, S = sympy.symbols("v s")
+
+
+@st.composite
+def laurent(draw, nvars, s_only=False, max_terms=4, max_exp=3, max_coeff=6):
+    terms = []
+    for _ in range(draw(st.integers(0, max_terms))):
+        es = draw(st.integers(-max_exp, max_exp))
+        ev = 0 if s_only else draw(st.integers(-max_exp, max_exp))
+        c = draw(st.integers(-max_coeff, max_coeff))
+        terms.append((es if nvars == 1 else (ev, es), c))
+    return LaurentPoly(terms, nvars)
+
+
+def nonzero(strategy):
+    return strategy.filter(lambda p: not p.is_zero())
+
+
+def exps(p):
+    """Term map of p with every key a tuple of exponents."""
+    return {(e if p.nvars == 2 else (e,)): c for e, c in p.items()}
+
+
+def to_sympy(p):
+    """(plain sympy Poly, exponent shift) with p == shift-monomial * poly."""
+    terms = exps(p)
+    gens = (V, S) if p.nvars == 2 else (S,)
+    shift = tuple(min(e[i] for e in terms) for i in range(p.nvars))
+    plain = {tuple(a - b for a, b in zip(e, shift)): c for e, c in terms.items()}
+    return sympy.Poly.from_dict(plain, *gens, domain=sympy.ZZ), shift
+
+
+def from_sympy(poly, shift):
+    """Term map, keyed by exponent tuples, of shift-monomial * poly."""
+    return {
+        tuple(a + b for a, b in zip(e, shift)): int(c)
+        for e, c in poly.as_dict().items()
+        if c
+    }
+
+
+arity = st.sampled_from((1, 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_mul_matches_sympy(data):
+    n = data.draw(arity)
+    a = data.draw(nonzero(laurent(n)))
+    b = data.draw(nonzero(laurent(n)))
+    (pa, sa), (pb, sb) = to_sympy(a), to_sympy(b)
+    shift = tuple(x + y for x, y in zip(sa, sb))
+    assert exps(a * b) == from_sympy(pa * pb, shift)
+
+
+@settings(max_examples=80, deadline=None)
+@given(nonzero(laurent(2)), st.integers(1, 5))
+def test_substitute_v_matches_sympy(p, n):
+    poly, (sv, ss) = to_sympy(p)
+    top = poly.degree(V)
+    # s**(n*top) * P(s**-n, s) is a plain polynomial in s.
+    image = sympy.Poly(sympy.expand(poly.as_expr().subs(V, S ** -n) * S ** (n * top)), S)
+    expected = from_sympy(image, (ss - n * sv - n * top,))
+    assert exps(p.substitute_v(n)) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_product_divides_back(data):
+    n = data.draw(arity)
+    s_only = data.draw(st.booleans())
+    a = data.draw(laurent(n))
+    b = data.draw(nonzero(laurent(n, s_only=s_only)))
+    assert (a * b).exact_div(b) == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_exact_div_agrees_with_sympy(data):
+    n = data.draw(arity)
+    s_only = data.draw(st.booleans())
+    b = data.draw(nonzero(laurent(n, s_only=s_only, max_terms=3, max_exp=2, max_coeff=3)))
+    # Mix true multiples with arbitrary dividends so both verdicts occur.
+    if data.draw(st.booleans()):
+        a = b * data.draw(laurent(n, max_terms=3, max_exp=2, max_coeff=3))
+        a = a + data.draw(laurent(n, max_terms=1, max_exp=2, max_coeff=2))
+    else:
+        a = data.draw(laurent(n))
+    got = a.exact_div(b)
+    if a.is_zero():
+        assert got is not None and got.is_zero()
+        return
+    (pa, sa), (pb, sb) = to_sympy(a), to_sympy(b)
+    quo, rem = pa.div(pb)
+    exact = rem.is_zero and all(c.is_integer for c in quo.coeffs())
+    if not exact:
+        assert got is None
+    else:
+        assert got is not None
+        shift = tuple(x - y for x, y in zip(sa, sb))
+        assert exps(got) == from_sympy(quo, shift)

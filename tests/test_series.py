@@ -1,12 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfly.ring import LaurentPoly1, LaurentPoly2, RingElem
+from hopfly.ring import LaurentPoly, RingElem
 from hopfly.partitions import EMPTY, Partition
-from hopfly.series import TruncatedSeries, linear_factor, schur_classical, schur_of_series
+from hopfly.series import TruncatedSeries, schur_classical, schur_of_series
 from hopfly.hopf import elementary_series
 
-P2 = LaurentPoly2
+P2 = LaurentPoly
 
 
 def elem(terms, den=()):
@@ -39,8 +39,8 @@ def unit_series(draw, degree=5):
 
 class TestSeriesArithmetic:
     def test_one_times_one_minus_t(self):
-        plus = linear_factor(ONE, 1, 2)
-        minus = linear_factor(-ONE, 1, 2)
+        plus = TruncatedSeries.linear_factor(ONE, 1, 2)
+        minus = TruncatedSeries.linear_factor(-ONE, 1, 2)
         assert plus.mul(minus) == series(ONE, ZERO, -ONE)  # 1 - t^2
 
     def test_identity_element(self):
@@ -54,24 +54,24 @@ class TestSeriesArithmetic:
 
     def test_invert_geometric(self):
         u = elem({(0, 2): 1})
-        got = linear_factor(u, 1, 3).invert()
-        expected = linear_factor(u, -1, 3)
+        got = TruncatedSeries.linear_factor(u, 1, 3).invert()
+        expected = TruncatedSeries.linear_factor(u, -1, 3)
         assert got == expected
         # 1 - q^-2 t + q^-4 t^2 - q^-6 t^3 spelled out
         w = elem({(0, -2): 1})
         spelled = series(ONE, -w, elem({(0, -4): 1}), elem({(0, -6): -1}))
-        assert linear_factor(w, -1, 3) == spelled
+        assert TruncatedSeries.linear_factor(w, -1, 3) == spelled
 
     def test_invert_requires_unit_constant(self):
         with pytest.raises(ValueError):
             series(elem({(0, 1): 1}), ONE).invert()
 
     def test_linear_factor_zero_parameter(self):
-        assert linear_factor(ZERO, 1, 2) == TruncatedSeries.one(2)
+        assert TruncatedSeries.linear_factor(ZERO, 1, 2) == TruncatedSeries.one(2)
 
     def test_bad_sign(self):
         with pytest.raises(ValueError):
-            linear_factor(ONE, 2, 3)
+            TruncatedSeries.linear_factor(ONE, 2, 3)
 
     def test_coefficient_out_of_range(self):
         s = TruncatedSeries.one(2)
@@ -145,7 +145,7 @@ class TestSchurClassical:
         xs = self.xs(8, 2, -2)  # the N=3 factor exponents of (3,1)
         prod = TruncatedSeries.one(4)
         for x in xs:
-            prod = prod.mul(linear_factor(x, 1, 4))
+            prod = prod.mul(TruncatedSeries.linear_factor(x, 1, 4))
         assert schur_classical(Partition((2, 2)), xs) == schur_of_series(Partition((2, 2)), prod)
 
     def test_bialternant_sweep(self):
@@ -159,7 +159,7 @@ class TestSchurClassical:
                 degree = max(lam.length + (lam.parts[0] if lam.parts else 0), 1)
                 prod = TruncatedSeries.one(degree)
                 for x in xs:
-                    prod = prod.mul(linear_factor(x, 1, degree))
+                    prod = prod.mul(TruncatedSeries.linear_factor(x, 1, degree))
                 assert schur_classical(lam, xs) == schur_of_series(lam, prod)
 
 

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from hopfly.ring import LaurentPoly1, LaurentPoly2, RingElem
+from hopfly.ring import LaurentPoly, RingElem
 from hopfly.partitions import EMPTY, Partition, partitions_up_to
-from hopfly.series import TruncatedSeries, linear_factor
+from hopfly.series import TruncatedSeries
 from hopfly.hopf import elementary_series, hopf_invariant
 from hopfly.sln import (
     hopf_sln_minor,
@@ -14,12 +14,9 @@ from hopfly.sln import (
     vandermonde_minor,
 )
 
-L1 = LaurentPoly1
-
-
 def qp(d):
     """Laurent polynomial in q = s^2 from a q-exponent -> coeff dict."""
-    return L1({2 * e: c for e, c in d.items()})
+    return LaurentPoly({2 * e: c for e, c in d.items()}, nvars=1)
 
 
 class TestVandermondeMinor:
@@ -52,7 +49,7 @@ class TestSpecialisationRoutes:
             * qp({8: 1, 4: 1, 3: 1, 2: -1, 0: 1})
             * qp({2: 1, 0: 1})
             * qp({4: 1, 3: 1, 2: 1, 1: 1, 0: 1})
-            * L1.monomial(1, -6)
+            * LaurentPoly.monomial(1, s=-6, nvars=1)
         )
         sub = hopf_sln_substitution(Partition((3, 1)), Partition((2, 2)), 3)
         minor = hopf_sln_minor(Partition((3, 1)), Partition((2, 2)), 3)
@@ -159,7 +156,7 @@ class TestElementaryFactors:
                 factors = sln_elementary_factors(lam, n)
                 prod = TruncatedSeries.one(n, like=factors[0])
                 for f in factors:
-                    prod = prod.mul(linear_factor(f, 1, n))
+                    prod = prod.mul(TruncatedSeries.linear_factor(f, 1, n))
                 specialised = elementary_series(lam, n).map_coeffs(
                     lambda c: c.substitute_v(n)
                 )
