@@ -32,11 +32,14 @@ def _partition_flag(text: str) -> Partition:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text}")
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mu", dest="mu", type=_partition_flag, required=True,
                            help="second decoration")
         if need_n:
-            p.add_argument("--N", dest="n", type=_positive_int, required=True,
+            p.add_argument("--N", dest="n", type=_int_at_least(1), required=True,
                            help="rank of the specialisation v -> s^-N")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -68,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_series = sub.add_parser("series", help="column and row generating series of a decoration")
     add_common(p_series)
-    p_series.add_argument("--degree", type=int, default=10, help="truncation degree")
+    p_series.add_argument("--degree", type=_int_at_least(0), default=10,
+                          help="truncation degree")
 
     p_minor = sub.add_parser("minor", help="Vandermonde minor P^N_(lambda,mu)")
     add_common(p_minor, need_mu=True, need_n=True)
@@ -77,11 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sln, need_mu=True, need_n=True)
 
     p_verify = sub.add_parser("verify", help="run the identity-verification suite")
-    p_verify.add_argument("--max-size", type=int, default=5,
+    p_verify.add_argument("--max-size", type=_int_at_least(0), default=5,
                           help="largest partition size in the sweeps")
-    p_verify.add_argument("--max-n", type=int, default=4,
+    p_verify.add_argument("--max-n", type=_int_at_least(1), default=4,
                           help="largest specialisation rank")
-    p_verify.add_argument("--degree", type=int, default=10,
+    p_verify.add_argument("--degree", type=_int_at_least(0), default=10,
                           help="series truncation degree for the series checks")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -129,8 +133,6 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "series":
-        if args.degree < 0:
-            raise ValueError("degree must be >= 0")
         e = elementary_series(args.lam, args.degree)
         h = complete_series(args.lam, args.degree)
         if args.format == "json":

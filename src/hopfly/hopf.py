@@ -20,7 +20,7 @@ import functools
 
 from .ring import LaurentPoly, RingElem
 from .partitions import Partition, column_partition, hook_partition, row_partition
-from .series import TruncatedSeries, schur_of_series
+from .series import TruncatedSeries, required_degree, schur_of_series
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,13 +47,6 @@ def eval_unknot(lam: Partition) -> RingElem:
 def framing_factor(lam: Partition) -> RingElem:
     """Positive-curl eigenvalue v**-|lam| s**(2 * content sum)."""
     return RingElem(LaurentPoly.monomial(1, -lam.size, 2 * lam.content_sum()))
-
-
-def required_degree(mu: Partition) -> int:
-    """Largest series coefficient the Schur extraction for mu reads."""
-    if mu.size == 0:
-        return 0
-    return mu.length + mu.parts[0] - 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,7 +104,7 @@ def complete_series(lam: Partition, degree: int) -> TruncatedSeries:
 @functools.lru_cache(maxsize=None)
 def _hopf_value(lam: Partition, mu: Partition) -> RingElem:
     series = elementary_series(lam, required_degree(mu))
-    return (schur_of_series(mu, series) * eval_unknot(lam)).reduced()
+    return schur_of_series(mu, series) * eval_unknot(lam)
 
 
 def hopf_invariant(lam: Partition, mu: Partition) -> HopfResult:
@@ -157,7 +150,7 @@ def content_polynomial(lam: Partition, u: RingElem, degree: int) -> TruncatedSer
     series = TruncatedSeries.one(degree, like=u)
     for (i, j) in lam.cells():
         q_power = LaurentPoly.monomial(1, s=2 * (j - i), nvars=u.num.nvars)
-        factor = (u * RingElem(q_power)).reduced()
+        factor = u * RingElem(q_power)
         series = series.mul(TruncatedSeries.linear_factor(factor, 1, degree))
     return series
 

@@ -5,9 +5,8 @@ Two value types live here:
 * ``LaurentPoly``: integer Laurent polynomials.  Each value carries its ring
   as ``nvars``: 2 for polynomials in the framing variable ``v`` and the
   quantum parameter ``s``, 1 for polynomials in ``s`` alone, the target of
-  the ``v = s**-N`` specialisation.  Only the multiplication and
-  exact-division kernels depend on the arity; a one-variable value whose
-  exponents are all even can be displayed in ``q = s**2``.
+  the ``v = s**-N`` specialisation.  A one-variable value whose exponents
+  are all even can be displayed in ``q = s**2``.
 * ``RingElem``: a quotient ``num / prod_k (s**k - s**-k)`` whose numerator is
   a ``LaurentPoly`` of either arity.  Denominators are stored structurally as
   a multiset of bracket indices ``k``; cancellation is therefore a sequence
@@ -15,12 +14,26 @@ Two value types live here:
   depends on normalisation: two elements are equal iff they agree after
   cross multiplication.
 
+Kernels: one loop multiplies, ``_addmul`` (acc += a * b), and one divides,
+``_div_terms_1var``, both over int-keyed term dicts.  Two-variable terms
+are keyed ``(e_v, e_s)`` and cut into v-slices ``{e_v: {e_s: c}}`` per
+call: a product multiplies slice pairs, and an exact quotient is long
+division in v, one slice division per step.
+
+Denominators: ``_lift`` rewrites a numerator over a larger bracket multiset,
+which is all that equality, addition and ``det_fractions`` need.
+``reduced`` is called only where brackets do cancel: after a series
+inversion, after the Jacobi-Trudy determinant, and after ``substitute_v``.
+Elsewhere the brackets left are needed (coefficient k of a decoration
+series has denominator [1]...[k]), and trial divisions would all fail.
+
 All values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
 from collections import Counter
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -31,7 +44,22 @@ class ConsistencyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# raw term-dict kernels, one per arity
+# raw term-dict kernels over int exponents; two-variable values run through
+# them one v-slice at a time
+
+
+def _addmul(acc: dict, a: dict, b: dict) -> None:
+    """acc += a * b for int-keyed term dicts, dropping cancelled terms."""
+    if len(a) < len(b):
+        a, b = b, a
+    for e2, c2 in b.items():
+        for e1, c1 in a.items():
+            k = e1 + e2
+            nc = acc.get(k, 0) + c1 * c2
+            if nc:
+                acc[k] = nc
+            elif k in acc:
+                del acc[k]
 
 
 def _div_terms_1var(num: dict, den: dict) -> Optional[dict]:
@@ -66,50 +94,51 @@ def _div_terms_1var(num: dict, den: dict) -> Optional[dict]:
     return quo
 
 
+def _slices(terms: dict) -> dict:
+    """Two-variable terms as v-slices ``{e_v: {e_s: c}}``."""
+    out: dict = {}
+    for (ev, es), c in terms.items():
+        out.setdefault(ev, {})[es] = c
+    return out
+
+
+def _flatten(slices: dict) -> dict:
+    """Inverse of ``_slices``; empty slices vanish."""
+    return {(ev, es): c for ev, sl in slices.items() for es, c in sl.items()}
+
+
 def _div_terms_2var(num: dict, den: dict) -> Optional[dict]:
     """Exact two-variable Laurent division of term dicts, or None.
 
-    Both operands are shifted so all exponents are non-negative (monomials
-    are units, so this does not change divisibility), then divided greedily
-    by graded-lex leading terms.  For an exact quotient every greedy step
-    succeeds, so any failed step proves non-divisibility.
+    Long division in v over v-slices: each step divides the top remainder
+    slice by the divisor's top slice and subtracts that quotient slice
+    times the divisor's other slices.  The quotient's lowest v-exponent is
+    forced to be the lowest of num minus the lowest of den, so a step below
+    it proves non-divisibility, as does a slice division that fails.
     """
     if not num:
         return {}
-    av = min(e[0] for e in num)
-    asx = min(e[1] for e in num)
-    bv = min(e[0] for e in den)
-    bs = min(e[1] for e in den)
-    rem = {(e[0] - av, e[1] - asx): c for e, c in num.items()}
-    dshift = {(e[0] - bv, e[1] - bs): c for e, c in den.items()}
-
-    def grlex(e):
-        return (e[0] + e[1], e)
-
-    lead = max(dshift, key=grlex)
-    lc = dshift[lead]
+    rem = _slices(num)
+    den = _slices(den)
+    dtop = max(den)
+    lead = den[dtop]
+    rest = [(ev, {e: -c for e, c in sl.items()})
+            for ev, sl in den.items() if ev != dtop]
+    qmin = min(rem) - min(den)
     quo: dict = {}
     while rem:
-        rmax = max(rem, key=grlex)
-        rc = rem[rmax]
-        qe = (rmax[0] - lead[0], rmax[1] - lead[1])
-        if qe[0] < 0 or qe[1] < 0 or rc % lc:
+        rv = max(rem)
+        qv = rv - dtop
+        q = None if qv < qmin else _div_terms_1var(rem.pop(rv), lead)
+        if q is None:
             return None
-        qc = rc // lc
-        quo[qe] = qc
-        for e, c in dshift.items():
-            k = (qe[0] + e[0], qe[1] + e[1])
-            nc = rem.get(k, 0) - qc * c
-            if nc:
-                rem[k] = nc
-            elif k in rem:
-                del rem[k]
-    shift_v = av - bv
-    shift_s = asx - bs
-    return {(e[0] + shift_v, e[1] + shift_s): c for e, c in quo.items()}
-
-
-# ---------------------------------------------------------------------------
+        quo[qv] = q
+        for ev, sl in rest:
+            acc = rem.setdefault(qv + ev, {})
+            _addmul(acc, q, sl)
+            if not acc:
+                del rem[qv + ev]
+    return _flatten(quo)
 
 
 def _from_terms(data: dict, nvars: int) -> "LaurentPoly":
@@ -241,29 +270,16 @@ class LaurentPoly:
             return LaurentPoly({e: c * other for e, c in self._terms.items()}, self.nvars)
         if not isinstance(other, LaurentPoly) or other.nvars != self.nvars:
             return NotImplemented
-        # Dict convolution, one loop per key shape.
-        a, b = self._terms, other._terms
-        if len(a) < len(b):
-            a, b = b, a
         data: dict = {}
         if self.nvars == 1:
-            for e2, c2 in b.items():
-                for e1, c1 in a.items():
-                    k = e1 + e2
-                    nc = data.get(k, 0) + c1 * c2
-                    if nc:
-                        data[k] = nc
-                    elif k in data:
-                        del data[k]
+            _addmul(data, self._terms, other._terms)
         else:
-            for (v2, s2), c2 in b.items():
-                for (v1, s1), c1 in a.items():
-                    k = (v1 + v2, s1 + s2)
-                    nc = data.get(k, 0) + c1 * c2
-                    if nc:
-                        data[k] = nc
-                    elif k in data:
-                        del data[k]
+            sb = _slices(other._terms)
+            prod: dict = {}
+            for va, sa in _slices(self._terms).items():
+                for vb, sl in sb.items():
+                    _addmul(prod.setdefault(va + vb, {}), sa, sl)
+            data = _flatten(prod)
         return _from_terms(data, self.nvars)
 
     __rmul__ = __mul__
@@ -286,15 +302,7 @@ class LaurentPoly:
             raise TypeError("substitute_v needs a two-variable polynomial")
         if n < 1:
             raise ValueError(f"specialisation index must be >= 1, got {n}")
-        data: dict[int, int] = {}
-        for (ev, es), c in self._terms.items():
-            e = es - n * ev
-            nc = data.get(e, 0) + c
-            if nc:
-                data[e] = nc
-            elif e in data:
-                del data[e]
-        return _from_terms(data, 1)
+        return LaurentPoly(((es - n * ev, c) for (ev, es), c in self._terms.items()), 1)
 
     def exact_div(self, other: "LaurentPoly") -> Optional["LaurentPoly"]:
         """Return q with self == other * q, or None when no such q exists."""
@@ -302,25 +310,9 @@ class LaurentPoly:
             raise TypeError("exact division mixes one- and two-variable polynomials")
         if not other._terms:
             raise ZeroDivisionError("exact division by the zero polynomial")
-        if self.nvars == 1:
-            quo = _div_terms_1var(self._terms, other._terms)
-            return None if quo is None else LaurentPoly(quo, 1)
-        if all(e[0] == 0 for e in other._terms):
-            # Divisor involves only s: divide every v-slice separately.
-            den1 = {e[1]: c for e, c in other._terms.items()}
-            slices: dict[int, dict[int, int]] = {}
-            for (ev, es), c in self._terms.items():
-                slices.setdefault(ev, {})[es] = c
-            data: dict[tuple[int, int], int] = {}
-            for ev, sl in slices.items():
-                q = _div_terms_1var(sl, den1)
-                if q is None:
-                    return None
-                for es, c in q.items():
-                    data[(ev, es)] = c
-            return LaurentPoly(data)
-        quo = _div_terms_2var(self._terms, other._terms)
-        return None if quo is None else LaurentPoly(quo)
+        divide = _div_terms_1var if self.nvars == 1 else _div_terms_2var
+        quo = divide(self._terms, other._terms)
+        return None if quo is None else _from_terms(quo, self.nvars)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -332,18 +324,21 @@ class LaurentPoly:
 # ---------------------------------------------------------------------------
 # fractions with structural quantum-bracket denominators
 
-_DEN_POLY_CACHE: dict = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _den_poly(nvars: int, den: tuple[int, ...]) -> LaurentPoly:
-    key = (nvars, den)
-    cached = _DEN_POLY_CACHE.get(key)
-    if cached is None:
-        cached = LaurentPoly.one(nvars)
-        for k in den:
-            cached = cached * LaurentPoly.quantum_bracket(k, nvars)
-        _DEN_POLY_CACHE[key] = cached
-    return cached
+    out = LaurentPoly.one(nvars)
+    for k in den:
+        out = out * LaurentPoly.quantum_bracket(k, nvars)
+    return out
+
+
+def _lift(x: "RingElem", den: Counter) -> LaurentPoly:
+    """Numerator of x over the bracket multiset den, which contains x.den."""
+    extra = den - Counter(x.den)
+    if not extra:
+        return x.num
+    return x.num * _den_poly(x.num.nvars, tuple(sorted(extra.elements())))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -386,14 +381,8 @@ class RingElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den == other.den:
-            return self.num == other.num
-        ca, cb = Counter(self.den), Counter(other.den)
-        common = ca & cb
-        ea = tuple(sorted((ca - common).elements()))
-        eb = tuple(sorted((cb - common).elements()))
-        nvars = self.num.nvars
-        return self.num * _den_poly(nvars, eb) == other.num * _den_poly(nvars, ea)
+        den = Counter(self.den) | Counter(other.den)
+        return _lift(self, den) == _lift(other, den)
 
     def __neg__(self) -> "RingElem":
         return RingElem(-self.num, self.den)
@@ -404,13 +393,8 @@ class RingElem:
             return NotImplemented
         if self.den == other.den:
             return RingElem(self.num + other.num, self.den)
-        ca, cb = Counter(self.den), Counter(other.den)
-        union = ca | cb
-        ea = tuple(sorted((union - ca).elements()))
-        eb = tuple(sorted((union - cb).elements()))
-        nvars = self.num.nvars
-        num = self.num * _den_poly(nvars, ea) + other.num * _den_poly(nvars, eb)
-        return RingElem(num, tuple(sorted(union.elements())))
+        den = Counter(self.den) | Counter(other.den)
+        return RingElem(_lift(self, den) + _lift(other, den), tuple(den.elements()))
 
     __radd__ = __add__
 
@@ -427,21 +411,12 @@ class RingElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return RingElem(self.num * other.num, tuple(sorted(self.den + other.den)))
+        return RingElem(self.num * other.num, self.den + other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "RingElem":
-        if n < 0:
-            raise ValueError("negative powers are not defined for RingElem")
-        result = RingElem(LaurentPoly.one(self.num.nvars))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return RingElem(self.num ** n, self.den * n)
 
     def reduced(self) -> "RingElem":
         """Cancel bracket factors out of the denominator, largest index first.
@@ -477,18 +452,24 @@ class RingElem:
 # determinants of exact matrices
 
 
-def determinant(matrix: Sequence[Sequence], bareiss_threshold: int = 12):
+# Largest order expanded by minors; Bareiss takes over above it.  At order
+# 13 expansion is slower than Bareiss and holds several times the memory.
+_EXPANSION_MAX_ORDER = 12
+
+
+def determinant(matrix: Sequence[Sequence]):
     """Determinant of a square matrix of Laurent polynomials.
 
-    Minor expansion with memoisation on the column set for small orders,
-    fraction-free Bareiss elimination above; both are exact.
+    Minor expansion with memoisation on the column set up to order
+    ``_EXPANSION_MAX_ORDER``, fraction-free Bareiss elimination above; both
+    are exact.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix has no well-defined entry type")
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    if n <= bareiss_threshold:
+    if n <= _EXPANSION_MAX_ORDER:
         return _det_expansion(matrix)
     return _det_bareiss(matrix)
 
@@ -555,24 +536,15 @@ def det_fractions(matrix: Sequence[Sequence[RingElem]]) -> RingElem:
     Each row is cleared to a common bracket denominator first, so the actual
     determinant runs over plain polynomials.
     """
-    n = len(matrix)
-    if n == 0:
-        raise ValueError("empty matrix")
-    nvars = matrix[0][0].num.nvars
     cleared = []
     total_den: list[int] = []
     for row in matrix:
-        union = Counter()
+        den = Counter()
         for entry in row:
-            union |= Counter(entry.den)
-        total_den.extend(union.elements())
-        new_row = []
-        for entry in row:
-            extra = tuple(sorted((union - Counter(entry.den)).elements()))
-            new_row.append(entry.num * _den_poly(nvars, extra))
-        cleared.append(new_row)
-    det = determinant(cleared)
-    return RingElem(det, tuple(sorted(total_den)))
+            den |= Counter(entry.den)
+        total_den.extend(den.elements())
+        cleared.append([_lift(entry, den) for entry in row])
+    return RingElem(determinant(cleared), tuple(total_den))
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ class TruncatedSeries:
             acc = one
             for _ in range(degree):
                 acc = -(acc * u)
-                coeffs.append(acc.reduced())
+                coeffs.append(acc)
             return cls(tuple(coeffs))
         raise ValueError(f"sign must be +1 or -1, got {sign}")
 
@@ -81,7 +81,7 @@ class TruncatedSeries:
             acc = self.coeffs[0] * other.coeffs[k]
             for i in range(1, k + 1):
                 acc = acc + self.coeffs[i] * other.coeffs[k - i]
-            out.append(acc.reduced())
+            out.append(acc)
         return TruncatedSeries(tuple(out))
 
     def invert(self) -> "TruncatedSeries":
@@ -104,8 +104,8 @@ class TruncatedSeries:
         out = [self.coeffs[0]]
         power = RingElem(LaurentPoly.one(alpha.num.nvars))
         for k in range(1, self.degree + 1):
-            power = (power * alpha).reduced()
-            out.append((self.coeffs[k] * power).reduced())
+            power = power * alpha
+            out.append(self.coeffs[k] * power)
         return TruncatedSeries(tuple(out))
 
     def negate_t(self) -> "TruncatedSeries":
@@ -124,6 +124,13 @@ class TruncatedSeries:
         return " + ".join(pieces)
 
 
+def required_degree(mu: Partition) -> int:
+    """Largest series coefficient the Jacobi-Trudy determinant for mu reads."""
+    if mu.size == 0:
+        return 0
+    return mu.length + mu.parts[0] - 1
+
+
 def schur_of_series(mu: Partition, series: TruncatedSeries) -> RingElem:
     """Jacobi-Trudy determinant det(e_{mu'_i + j - i}) of the coefficients.
 
@@ -134,7 +141,7 @@ def schur_of_series(mu: Partition, series: TruncatedSeries) -> RingElem:
         return RingElem(LaurentPoly.one(series.coeffs[0].num.nvars))
     conj = mu.conjugate()
     r = mu.parts[0]
-    needed = conj.parts[0] + r - 1
+    needed = required_degree(mu)
     if needed > series.degree:
         raise ValueError(
             f"Schur extraction for {mu} needs degree {needed}, series has {series.degree}"
@@ -167,4 +174,4 @@ def schur_classical(lam: Partition, xs: Sequence[RingElem]) -> RingElem:
     quo = cross.exact_div(vandermonde.num)
     if quo is None:
         raise ValueError("alternant quotient is not exact over the given values")
-    return RingElem(quo, numerator.den).reduced()
+    return RingElem(quo, numerator.den)

@@ -21,7 +21,7 @@ from .partitions import (
     pieri_column,
     row_partition,
 )
-from .series import TruncatedSeries, schur_classical, schur_of_series
+from .series import TruncatedSeries, required_degree, schur_classical, schur_of_series
 from .hopf import (
     _hopf_value,
     complete_series,
@@ -295,7 +295,7 @@ def check_schur_homogeneity(max_size: int = 4, degree: int = 6) -> CheckResult:
     ]
     bad = []
     for lam in partitions_up_to(max_size):
-        if lam.size == 0 or len(lam.parts) + lam.parts[0] - 1 > degree:
+        if lam.size == 0 or required_degree(lam) > degree:
             continue
         plain = schur_of_series(lam, base)
         for alpha in alphas:
@@ -313,9 +313,7 @@ def check_schur_naturality(max_size: int = 5, ns: tuple[int, ...] = (2, 3, 4)) -
     bad = []
     source = elementary_series(Partition((2, 1)), max_size * 2)
     for lam in partitions_up_to(max_size):
-        if lam.size == 0:
-            continue
-        if len(lam.parts) + lam.parts[0] - 1 > source.degree:
+        if lam.size == 0 or required_degree(lam) > source.degree:
             continue
         value = schur_of_series(lam, source)
         for n in ns:

@@ -1,0 +1,71 @@
+"""The benchmark's layer wrappers still find every layer they time.
+
+``perfbench/tracing.py`` wraps package entry points by name; a refactor that
+renames or bypasses one leaves its metric at 0 without any error.  This runs
+a small pairing, a small sl(N) pair, a small verify and one order-13
+determinant under the tracer and requires every layer to have been seen.
+"""
+
+import os
+import sys
+
+import hopfly.hopf as hopf
+import hopfly.ring as ring
+from hopfly.cli import main
+
+sys.path.append(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench"))
+import tracing  # noqa: E402
+
+COUNTED = (
+    "ring.poly_mul.calls",
+    "ring.exact_div.calls",
+    "ring.substitute_v.calls",
+    "ring.elem_add.calls",
+    "ring.reduced.calls",
+    "ring.det_fractions.calls",
+    "ring.determinant.expansion_calls",
+    "ring.determinant.bareiss_calls",
+    "series.mul.calls",
+    "series.invert.calls",
+    "series.schur_of_series.calls",
+    "hopf.hopf_invariant.calls",
+    "sln.vandermonde_minor.calls",
+)
+
+SPANS = (
+    "ring.determinant",
+    "series.linear_factor",
+    "hopf.elementary_series",
+    "sln.hopf_sln_minor",
+    "sln.hopf_sln_substitution",
+    "verify.run_all",
+    "cli.emit",
+    *[f"verify.check.{name}" for name in tracing.CHECK_NAMES],
+)
+
+
+def test_tracer_sees_every_layer(capsys):
+    for _, attr in tracing.CACHES:
+        getattr(hopf, attr).cache_clear()
+    tracer = tracing.Tracer().install()
+    try:
+        assert main(["hopf", "--lambda", "3,1", "--mu", "2,1", "--format", "json"]) == 0
+        assert main(["sln", "--lambda", "2,1", "--mu", "1,1", "--N", "3"]) == 0
+        assert main(["verify", "--max-size", "1", "--max-n", "2", "--degree", "2"]) == 0
+        order = 13
+        matrix = [[ring.LaurentPoly.constant((i * j) % 5 + 3 * (i == j)) for j in range(order)]
+                  for i in range(order)]
+        ring.determinant(matrix)
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+
+    metrics = tracer.layer_metrics()
+    for key in COUNTED:
+        assert metrics[key] > 0, key
+    for key, _ in tracing.CACHES:
+        assert metrics[f"hopf.cache.{key}.hits"] + metrics[f"hopf.cache.{key}.misses"] > 0, key
+    _, _, calls = tracer.totals()
+    for name in SPANS:
+        assert calls.get(name, 0) > 0, name

@@ -91,6 +91,20 @@ class TestErrorHandling:
             main(["hopf", "--lambda", "1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-size", "-1"), ("--degree", "-2"), ("--max-n", "0"),
+    ])
+    def test_verify_rejects_out_of_range_bound(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    def test_series_rejects_negative_degree(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["series", "--lambda", "1", "--degree", "-1"])
+        assert exc.value.code == 2
+
     def test_n_below_length_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "minor", "--lambda", "1,1,1", "--mu", "0", "--N", "2")
         assert code == 2

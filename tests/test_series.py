@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfly.ring import LaurentPoly, RingElem
-from hopfly.partitions import EMPTY, Partition
+from hopfly.partitions import EMPTY, Partition, partitions_up_to
 from hopfly.series import TruncatedSeries, schur_classical, schur_of_series
-from hopfly.hopf import elementary_series
+from hopfly.hopf import complete_series, elementary_series
 
 P2 = LaurentPoly
 
@@ -185,3 +185,12 @@ class TestHomogeneityAndNaturality:
                 direct = schur_of_series(lam, base).substitute_v(n)
                 mapped = schur_of_series(lam, base.map_coeffs(lambda c: c.substitute_v(n)))
                 assert direct == mapped
+
+
+def test_decoration_series_carry_factorial_brackets():
+    # Coefficient k of E_lam and H_lam has denominator exactly [1][2]...[k]:
+    # series products never need a bracket cancelled, only inversion does.
+    for lam in partitions_up_to(5):
+        for s in (elementary_series(lam, 8), complete_series(lam, 8)):
+            for k, c in enumerate(s.coeffs):
+                assert c.den == tuple(range(1, k + 1)), (lam, k, c.den)
