@@ -21,7 +21,6 @@ from .partitions import (
     partitions_of,
     partitions_up_to,
     pieri_column,
-    pieri_row,
     row_partition,
 )
 from .series import (

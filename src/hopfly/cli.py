@@ -81,9 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sln, need_mu=True, need_n=True)
 
     p_verify = sub.add_parser("verify", help="run the identity-verification suite")
-    p_verify.add_argument("--max-size", type=_int_at_least(0), default=5,
+    p_verify.add_argument("--max-size", type=_int_at_least(1), default=5,
                           help="largest partition size in the sweeps")
-    p_verify.add_argument("--max-n", type=_int_at_least(1), default=4,
+    p_verify.add_argument("--max-n", type=_int_at_least(2), default=4,
                           help="largest specialisation rank")
     p_verify.add_argument("--degree", type=_int_at_least(0), default=10,
                           help="series truncation degree for the series checks")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from typing import Iterable
 
 from .ring import LaurentPoly, RingElem
 from .partitions import Partition, column_partition, hook_partition, row_partition
@@ -50,34 +51,52 @@ def framing_factor(lam: Partition) -> RingElem:
 
 
 @functools.lru_cache(maxsize=None)
-def elementary_series_empty(degree: int) -> TruncatedSeries:
-    """Column-evaluation series 1 + sum_r unknot(1**r) t**r.
+def elementary_series_empty(degree: int, sign: int = 1) -> TruncatedSeries:
+    """Evaluation series of the empty diagram by the one-cell recursion.
 
-    Built by the one-cell recursion: coefficient r+1 adds the numerator
-    factor v**-1 s**-r - v s**r and the bracket r+1.
+    sign = +1 gives the column series E_empty = 1 + sum_r unknot(1**r) t**r,
+    where coefficient r+1 adds the numerator factor v**-1 s**-r - v s**r;
+    sign = -1 gives the row series H_empty = 1 + sum_r unknot((r)) t**r,
+    where it adds v**-1 s**r - v s**-r.  Either way it adds the bracket r+1.
     """
     coeffs = [RingElem(LaurentPoly.one())]
     num = LaurentPoly.one()
     den: list[int] = []
     for r in range(degree):
-        num = num * LaurentPoly({(-1, -r): 1, (1, r): -1})
+        num = num * LaurentPoly({(-1, -sign * r): 1, (1, sign * r): -1})
         den.append(r + 1)
         coeffs.append(RingElem(num, tuple(den)))
     return TruncatedSeries(tuple(coeffs))
 
 
+def _factor_pair(up: int, down: int) -> tuple[RingElem, RingElem]:
+    """(v**-1 s**up, v**-1 s**down)."""
+    return (RingElem(LaurentPoly.monomial(1, -1, up)),
+            RingElem(LaurentPoly.monomial(1, -1, down)))
+
+
+def hook_factors(lam: Partition) -> list[tuple[RingElem, RingElem]]:
+    """Pairs (v**-1 s**(2a_i+1), v**-1 s**(-2b_i-1)), one per diagonal hook
+    (a_i | b_i) of lam."""
+    return [_factor_pair(2 * a + 1, -2 * b - 1) for a, b in zip(*lam.frobenius())]
+
+
+def times_factors(
+    series: TruncatedSeries, pairs: Iterable[tuple[RingElem, RingElem]]
+) -> TruncatedSeries:
+    """series * prod (1 + u t) / (1 + w t) over the pairs (u, w)."""
+    degree = series.degree
+    for u, w in pairs:
+        series = series.mul(TruncatedSeries.linear_factor(u, 1, degree))
+        series = series.mul(TruncatedSeries.linear_factor(w, -1, degree))
+    return series
+
+
 @functools.lru_cache(maxsize=None)
 def elementary_series(lam: Partition, degree: int) -> TruncatedSeries:
-    """E_lam as the diagonal-hook product
-    prod_i (1 + v**-1 s**(2a_i+1) t) / (1 + v**-1 s**(-2b_i-1) t) * E_empty."""
-    series = elementary_series_empty(degree)
-    arms, legs = lam.frobenius()
-    for a, b in zip(arms, legs):
-        up = RingElem(LaurentPoly.monomial(1, -1, 2 * a + 1))
-        down = RingElem(LaurentPoly.monomial(1, -1, -2 * b - 1))
-        series = series.mul(TruncatedSeries.linear_factor(up, 1, degree))
-        series = series.mul(TruncatedSeries.linear_factor(down, -1, degree))
-    return series
+    """Column series E_lam = E_empty * prod_i (1 + u_i t) / (1 + w_i t) over
+    the diagonal-hook factors (u_i, w_i) of lam."""
+    return times_factors(elementary_series_empty(degree), hook_factors(lam))
 
 
 def elementary_series_by_rows(lam: Partition, degree: int) -> TruncatedSeries:
@@ -87,18 +106,16 @@ def elementary_series_by_rows(lam: Partition, degree: int) -> TruncatedSeries:
     Same value as ``elementary_series``; kept as an independent route for
     identity checks.
     """
-    series = elementary_series_empty(degree)
-    for j in range(1, lam.length + 1):
-        up = RingElem(LaurentPoly.monomial(1, -1, 2 * lam.part(j) - 2 * j + 1))
-        down = RingElem(LaurentPoly.monomial(1, -1, -2 * j + 1))
-        series = series.mul(TruncatedSeries.linear_factor(up, 1, degree))
-        series = series.mul(TruncatedSeries.linear_factor(down, -1, degree))
-    return series
+    pairs = [_factor_pair(2 * lam.part(j) - 2 * j + 1, -2 * j + 1)
+             for j in range(1, lam.length + 1)]
+    return times_factors(elementary_series_empty(degree), pairs)
 
 
 def complete_series(lam: Partition, degree: int) -> TruncatedSeries:
-    """Row-evaluation series H_lam, the inverse of E_lam(-t)."""
-    return elementary_series(lam, degree).negate_t().invert()
+    """Row series H_lam = 1 / E_lam(-t), as the mirror product
+    H_empty * prod_i (1 - w_i t) / (1 - u_i t)."""
+    pairs = [(-w, -u) for u, w in hook_factors(lam)]
+    return times_factors(elementary_series_empty(degree, -1), pairs)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,4 +1,4 @@
-"""Partitions, Young diagram combinatorics, and single-strip Pieri rules."""
+"""Partitions, Young diagram combinatorics, and the vertical-strip Pieri rule."""
 
 from __future__ import annotations
 
@@ -41,30 +41,6 @@ class Partition:
         except ValueError:
             raise ValueError(f"invalid partition text {text!r}") from None
         return cls(parts)
-
-    @classmethod
-    def from_frobenius(cls, arms: tuple[int, ...], legs: tuple[int, ...]) -> "Partition":
-        """Rebuild a diagram from its diagonal arm and leg lengths."""
-        if len(arms) != len(legs):
-            raise ValueError("arm and leg sequences must have equal length")
-        d = len(arms)
-        for seq in (arms, legs):
-            if any(x < 0 for x in seq):
-                raise ValueError("arm and leg lengths must be non-negative")
-            if any(seq[i] <= seq[i + 1] for i in range(d - 1)):
-                raise ValueError("arm and leg lengths must be strictly decreasing")
-        parts = [arms[k] + k + 1 for k in range(d)]
-        i = d + 1
-        while True:
-            row = sum(1 for k in range(d) if legs[k] + k + 1 >= i)
-            if row == 0:
-                break
-            parts.append(row)
-            i += 1
-        result = cls(tuple(parts))
-        if result.frobenius() != (tuple(arms), tuple(legs)):
-            raise ValueError("inconsistent arm/leg data")
-        return result
 
     # -- basic data ---------------------------------------------------------
 
@@ -183,38 +159,6 @@ def pieri_column(lam: Partition, cells: int) -> list[Partition]:
                 acc.pop()
 
     extend(0, parts[0] + 1 if parts else cells, [], cells)
-    return sorted(out, reverse=True)
-
-
-def pieri_row(lam: Partition, cells: int) -> list[Partition]:
-    """All diagrams obtained by adding a horizontal strip of the given size.
-
-    At most one cell is added per column: the new diagram interlaces the old
-    one.  Sorted descending for deterministic output.
-    """
-    if cells < 0:
-        raise ValueError("strip size must be >= 0")
-    if cells == 0:
-        return [lam]
-    parts = lam.parts
-    out: list[Partition] = []
-
-    def extend(k: int, budget: int, acc: list[int]):
-        if k == len(parts):
-            # Final row below the old diagram, bounded by its last part.
-            if not parts or budget <= parts[-1]:
-                new = tuple(acc) + ((budget,) if budget else ())
-                out.append(Partition(new))
-            return
-        low = parts[k]
-        # Interlacing: the new row k may not pass the old row above it.
-        high = parts[k - 1] if k else low + budget
-        for mu_k in range(low, min(high, low + budget) + 1):
-            acc.append(mu_k)
-            extend(k + 1, budget - (mu_k - low), acc)
-            acc.pop()
-
-    extend(0, cells, [])
     return sorted(out, reverse=True)
 
 

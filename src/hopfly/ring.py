@@ -22,10 +22,14 @@ division in v, one slice division per step.
 
 Denominators: ``_lift`` rewrites a numerator over a larger bracket multiset,
 which is all that equality, addition and ``det_fractions`` need.
-``reduced`` is called only where brackets do cancel: after a series
-inversion, after the Jacobi-Trudy determinant, and after ``substitute_v``.
-Elsewhere the brackets left are needed (coefficient k of a decoration
-series has denominator [1]...[k]), and trial divisions would all fail.
+``reduced`` is called only where brackets must cancel for printing: after
+the Jacobi-Trudy determinant and after ``substitute_v``.  Elsewhere the
+brackets left are needed (both decoration series are built as products
+whose coefficient k has denominator [1]...[k]), and trial divisions would
+all fail.
+
+Determinants: minor expansion, except that one-variable matrices above
+order ``_EXPANSION_MAX_ORDER`` go to fraction-free Bareiss elimination.
 
 All values are immutable after construction and safe to share.
 """
@@ -452,26 +456,29 @@ class RingElem:
 # determinants of exact matrices
 
 
-# Largest order expanded by minors; Bareiss takes over above it.  At order
-# 13 expansion is slower than Bareiss and holds several times the memory.
+# Largest order of a one-variable matrix expanded by minors; Bareiss takes
+# over above it: at order 13 expansion is slower and holds several times
+# the memory.  Two-variable matrices always expand: on the order-6
+# Jacobi-Trudy matrix of the staircase pairing (6,5,4,3,2,1)^2, Bareiss
+# took 97 s against 3.6 s for expansion (Python 3.11, Xeon, one core).
 _EXPANSION_MAX_ORDER = 12
 
 
 def determinant(matrix: Sequence[Sequence]):
     """Determinant of a square matrix of Laurent polynomials.
 
-    Minor expansion with memoisation on the column set up to order
-    ``_EXPANSION_MAX_ORDER``, fraction-free Bareiss elimination above; both
-    are exact.
+    Minor expansion with memoisation on the column set, or fraction-free
+    Bareiss elimination for one-variable matrices of order above
+    ``_EXPANSION_MAX_ORDER``; both are exact.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix has no well-defined entry type")
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    if n <= _EXPANSION_MAX_ORDER:
-        return _det_expansion(matrix)
-    return _det_bareiss(matrix)
+    if n > _EXPANSION_MAX_ORDER and matrix[0][0].nvars == 1:
+        return _det_bareiss(matrix)
+    return _det_expansion(matrix)
 
 
 def _det_expansion(matrix):

@@ -96,7 +96,7 @@ class TruncatedSeries:
             acc = self.coeffs[1] * out[k - 1]
             for i in range(2, k + 1):
                 acc = acc + self.coeffs[i] * out[k - i]
-            out.append((-acc).reduced())
+            out.append(-acc)
         return TruncatedSeries(tuple(out))
 
     def scale_t(self, alpha: RingElem) -> "TruncatedSeries":

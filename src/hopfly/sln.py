@@ -81,8 +81,7 @@ class Sl2Check:
     """Outcome of the sl(2) structure check.
 
     When ``ok``, the specialised pairing equals
-    (q**(a*b) - 1)/(q - 1) * s**s_exponent with coefficient exactly one;
-    ``q_exponent`` is s_exponent / 2 and may be half-integral.
+    (q**(a*b) - 1)/(q - 1) * s**s_exponent with coefficient exactly one.
     """
 
     ok: bool
@@ -90,10 +89,6 @@ class Sl2Check:
 
     def __bool__(self) -> bool:
         return self.ok
-
-    @property
-    def q_exponent(self) -> Fraction | None:
-        return None if self.s_exponent is None else Fraction(self.s_exponent, 2)
 
 
 def sl2_quantum_check(a: int, b: int, i: int, j: int) -> Sl2Check:

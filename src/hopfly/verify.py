@@ -21,7 +21,7 @@ from .partitions import (
     pieri_column,
     row_partition,
 )
-from .series import TruncatedSeries, required_degree, schur_classical, schur_of_series
+from .series import TruncatedSeries, required_degree, schur_of_series
 from .hopf import (
     _hopf_value,
     complete_series,
@@ -31,8 +31,10 @@ from .hopf import (
     elementary_series_by_rows,
     eval_unknot,
     framing_factor,
+    hook_factors,
     hopf_column_row_closed,
     hopf_invariant,
+    times_factors,
 )
 from .sln import hopf_sln_minor, hopf_sln_substitution, sl2_quantum_check, vandermonde_minor
 
@@ -186,19 +188,7 @@ def check_content_polynomial_ratio(max_size: int = 6, degree: int = 8) -> CheckR
         ratio = content_polynomial(lam, up, degree).mul(
             content_polynomial(lam, down, degree).invert()
         )
-        factors = TruncatedSeries.one(degree)
-        arms, legs = lam.frobenius()
-        for a, b in zip(arms, legs):
-            factors = factors.mul(
-                TruncatedSeries.linear_factor(
-                    RingElem(LaurentPoly.monomial(1, -1, 2 * a + 1)), 1, degree
-                )
-            )
-            factors = factors.mul(
-                TruncatedSeries.linear_factor(
-                    RingElem(LaurentPoly.monomial(1, -1, -2 * b - 1)), -1, degree
-                )
-            )
+        factors = times_factors(TruncatedSeries.one(degree), hook_factors(lam))
         if ratio != factors:
             bad.append(lam)
     return CheckResult(
@@ -259,7 +249,12 @@ def check_minor_bialternant(max_size: int = 4, max_n: int = 4) -> CheckResult:
     for lam, mu in _all_pairs(max_size):
         for n in range(max(lam.length, mu.length, 1), max_n + 1):
             xs = [RingElem(LaurentPoly.monomial(1, s=2 * e, nvars=1)) for e in mu.index_set(n)]
-            lhs = schur_classical(lam, xs)
+            # s_lam(x) by Jacobi-Trudy on prod_i (1 + x_i t), not by alternants
+            degree = required_degree(lam)
+            series = TruncatedSeries.one(degree, like=xs[0])
+            for x in xs:
+                series = series.mul(TruncatedSeries.linear_factor(x, 1, degree))
+            lhs = schur_of_series(lam, series)
             numerator = vandermonde_minor(lam, mu, n)
             reference = vandermonde_minor(EMPTY, mu, n)
             quo = numerator.exact_div(reference)
@@ -369,7 +364,13 @@ ALL_CHECKS: tuple[tuple[str, Callable[..., CheckResult]], ...] = (
 
 
 def run_all(max_size: int = 5, max_n: int = 4, degree: int = 10) -> list[CheckResult]:
-    """Run every check with bounds tied to the given limits."""
+    """Run every check with bounds tied to the given limits.
+
+    max_size >= 1 and max_n >= 2 are required: below them some checks
+    would sweep no case at all and still report a pass.
+    """
+    if max_size < 1 or max_n < 2:
+        raise ValueError(f"verify needs max_size >= 1 and max_n >= 2, got {max_size} and {max_n}")
     small = min(max_size, 4)
     return [
         check_hopf_symmetry(max_size),

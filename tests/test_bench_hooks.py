@@ -54,8 +54,8 @@ def test_tracer_sees_every_layer(capsys):
         assert main(["sln", "--lambda", "2,1", "--mu", "1,1", "--N", "3"]) == 0
         assert main(["verify", "--max-size", "1", "--max-n", "2", "--degree", "2"]) == 0
         order = 13
-        matrix = [[ring.LaurentPoly.constant((i * j) % 5 + 3 * (i == j)) for j in range(order)]
-                  for i in range(order)]
+        matrix = [[ring.LaurentPoly.constant((i * j) % 5 + 3 * (i == j), nvars=1)
+                   for j in range(order)] for i in range(order)]
         ring.determinant(matrix)
     finally:
         tracer.uninstall()

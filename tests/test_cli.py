@@ -8,6 +8,7 @@ from hopfly.cli import main
 from hopfly.ring import parse_ring_elem, ring_elem_from_json
 from hopfly.partitions import Partition
 from hopfly.hopf import hopf_invariant
+from hopfly.verify import run_all
 
 
 def run_cli(capsys, *argv):
@@ -93,12 +94,18 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("flag, value", [
         ("--max-size", "-1"), ("--degree", "-2"), ("--max-n", "0"),
+        ("--max-size", "0"), ("--max-n", "1"),
     ])
     def test_verify_rejects_out_of_range_bound(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["verify", flag, value])
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("max_size, max_n", [(0, 4), (5, 1)])
+    def test_run_all_rejects_bounds_that_sweep_nothing(self, max_size, max_n):
+        with pytest.raises(ValueError):
+            run_all(max_size=max_size, max_n=max_n)
 
     def test_series_rejects_negative_degree(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -213,8 +213,8 @@ class TestDecoratedSeries:
             assert e.mul(h.negate_t()) == one
 
     def test_complete_empty_coefficients_are_row_unknots(self):
-        # Independent of the inversion route: coefficient j of H_empty must
-        # equal the row-diagram unknot product.
+        # Coefficient j of H_empty must equal the row-diagram unknot, which
+        # eval_unknot builds from hook lengths rather than by recursion.
         h = complete_series(EMPTY, 6)
         for j in range(7):
             assert h.coeff(j) == eval_unknot(row_partition(j))

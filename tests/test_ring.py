@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hopfly.ring as ring
 from hopfly.ring import (
     LaurentPoly,
     RingElem,
@@ -265,6 +266,22 @@ class TestDeterminant:
         by_expansion = _det_expansion(entries)
         by_bareiss = _det_bareiss(entries)
         assert by_expansion == by_bareiss
+
+    def test_two_variable_matrix_above_threshold_expands(self, monkeypatch):
+        # Upper triangular, so the determinant is the diagonal product; the
+        # zeros below the diagonal keep the expansion cheap at order 13.
+        def refuse(matrix):
+            raise AssertionError("two-variable matrix sent to Bareiss")
+
+        monkeypatch.setattr(ring, "_det_bareiss", refuse)
+        order = 13
+        diagonal = [P2({(0, 0): 1, (1, i): -1}) for i in range(order)]
+        m = [[diagonal[i] if i == j else P2({(j % 2, i - j): 1}) if j > i else P2.zero()
+              for j in range(order)] for i in range(order)]
+        expected = P2.one()
+        for d in diagonal:
+            expected = expected * d
+        assert determinant(m) == expected
 
     def test_singular_matrix_is_zero_under_bareiss(self):
         row = [P2.constant(1), P2.constant(2), P2.constant(3)]

@@ -189,7 +189,7 @@ class TestHomogeneityAndNaturality:
 
 def test_decoration_series_carry_factorial_brackets():
     # Coefficient k of E_lam and H_lam has denominator exactly [1][2]...[k]:
-    # series products never need a bracket cancelled, only inversion does.
+    # both are built as products, which never need a bracket cancelled.
     for lam in partitions_up_to(5):
         for s in (elementary_series(lam, 8), complete_series(lam, 8)):
             for k, c in enumerate(s.coeffs):

@@ -98,7 +98,7 @@ class TestSl2Structure:
         # a = b = 2, i = j = 0: ratio to (q^4-1)/(q-1) is a monomial
         check = sl2_quantum_check(2, 2, 0, 0)
         assert check
-        assert check.q_exponent is not None
+        assert check.s_exponent is not None
 
     def test_mixed_example(self):
         assert sl2_quantum_check(3, 2, 1, 2)
@@ -109,7 +109,6 @@ class TestSl2Structure:
         check = sl2_quantum_check(2, 1, 0, 0)
         assert check
         assert check.s_exponent == -1
-        assert check.q_exponent == Fraction(-1, 2)
 
     def test_domain(self):
         with pytest.raises(ValueError):
