@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="largest partition size in the sweeps")
     p_verify.add_argument("--max-n", type=_int_at_least(2), default=4,
                           help="largest specialisation rank")
-    p_verify.add_argument("--degree", type=_int_at_least(0), default=10,
+    p_verify.add_argument("--degree", type=_int_at_least(1), default=10,
                           help="series truncation degree for the series checks")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
 

@@ -84,11 +84,15 @@ def hook_factors(lam: Partition) -> list[tuple[RingElem, RingElem]]:
 def times_factors(
     series: TruncatedSeries, pairs: Iterable[tuple[RingElem, RingElem]]
 ) -> TruncatedSeries:
-    """series * prod (1 + u t) / (1 + w t) over the pairs (u, w)."""
-    degree = series.degree
+    """series * prod (1 + u t) / (1 + w t) over the pairs (u, w), one pass
+    b_k = a_k + (u a_(k-1) - w b_(k-1)) per pair.  On a decoration series the
+    grouped terms share [1]...[k-1], so b_k is lifted once, by [k]."""
     for u, w in pairs:
-        series = series.mul(TruncatedSeries.linear_factor(u, 1, degree))
-        series = series.mul(TruncatedSeries.linear_factor(w, -1, degree))
+        a = series.coeffs
+        out = [a[0]]
+        for k in range(1, len(a)):
+            out.append(a[k] + (u * a[k - 1] - w * out[k - 1]))
+        series = TruncatedSeries(tuple(out))
     return series
 
 
@@ -168,7 +172,7 @@ def content_polynomial(lam: Partition, u: RingElem, degree: int) -> TruncatedSer
     for (i, j) in lam.cells():
         q_power = LaurentPoly.monomial(1, s=2 * (j - i), nvars=u.num.nvars)
         factor = u * RingElem(q_power)
-        series = series.mul(TruncatedSeries.linear_factor(factor, 1, degree))
+        series = series.mul(TruncatedSeries.linear_factor(factor, degree))
     return series
 
 

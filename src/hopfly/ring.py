@@ -671,10 +671,12 @@ def ring_elem_from_json(obj: Mapping) -> RingElem:
     """Inverse of ``ring_elem_to_json``; the ``text`` field is not read.
 
     Raises ValueError unless ``vars`` is 1 or 2 (it is inferred from the
-    term length when absent) and every term holds exactly ``vars + 1``
-    integers.
+    term length when absent), every term holds exactly ``vars + 1`` ints
+    and every bracket in ``den`` is an int >= 1 (bools and floats are not).
     """
-    den = tuple(sorted(int(k) for k in obj.get("den", ())))
+    den = tuple(obj.get("den", ()))
+    if not all(type(k) is int for k in den):
+        raise ValueError(f"brackets are integers >= 1, got {den!r}")
     nvars = obj.get("vars")
     num_terms = obj["num"]
     if nvars is None:
@@ -682,7 +684,7 @@ def ring_elem_from_json(obj: Mapping) -> RingElem:
     if nvars not in (1, 2):
         raise ValueError(f"vars must be 1 or 2, got {nvars!r}")
     for t in num_terms:
-        if len(t) != nvars + 1 or not all(isinstance(x, int) for x in t):
+        if len(t) != nvars + 1 or not all(type(x) is int for x in t):
             raise ValueError(f"a {nvars}-variable term is {nvars + 1} integers, got {t!r}")
     terms = [((t[0], t[1]) if nvars == 2 else t[0], t[-1]) for t in num_terms]
     return RingElem(LaurentPoly(terms, nvars), den)

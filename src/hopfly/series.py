@@ -36,22 +36,10 @@ class TruncatedSeries:
         return cls((one,) + (zero,) * degree)
 
     @classmethod
-    def linear_factor(cls, u: RingElem, sign: int, degree: int) -> "TruncatedSeries":
-        """(1 + u*t)**sign to the requested degree, sign in {+1, -1}."""
-        nvars = u.num.nvars
-        one = RingElem(LaurentPoly.one(nvars))
-        if sign == 1:
-            zero = RingElem(LaurentPoly.zero(nvars))
-            coeffs = [one, u] + [zero] * (degree - 1)
-            return cls(tuple(coeffs[: degree + 1]))
-        if sign == -1:
-            coeffs = [one]
-            acc = one
-            for _ in range(degree):
-                acc = -(acc * u)
-                coeffs.append(acc)
-            return cls(tuple(coeffs))
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    def linear_factor(cls, u: RingElem, degree: int) -> "TruncatedSeries":
+        """1 + u*t to the requested degree."""
+        one = cls.one(degree, like=u).coeffs
+        return cls((one[:1] + (u,) + one[2:])[: degree + 1])
 
     @property
     def degree(self) -> int:

@@ -253,7 +253,7 @@ def check_minor_bialternant(max_size: int = 4, max_n: int = 4) -> CheckResult:
             degree = required_degree(lam)
             series = TruncatedSeries.one(degree, like=xs[0])
             for x in xs:
-                series = series.mul(TruncatedSeries.linear_factor(x, 1, degree))
+                series = series.mul(TruncatedSeries.linear_factor(x, degree))
             lhs = schur_of_series(lam, series)
             numerator = vandermonde_minor(lam, mu, n)
             reference = vandermonde_minor(EMPTY, mu, n)
@@ -366,11 +366,12 @@ ALL_CHECKS: tuple[tuple[str, Callable[..., CheckResult]], ...] = (
 def run_all(max_size: int = 5, max_n: int = 4, degree: int = 10) -> list[CheckResult]:
     """Run every check with bounds tied to the given limits.
 
-    max_size >= 1 and max_n >= 2 are required: below them some checks
-    would sweep no case at all and still report a pass.
+    max_size >= 1, max_n >= 2 and degree >= 1 are required: below them some
+    checks would compare nothing and still report a pass.
     """
-    if max_size < 1 or max_n < 2:
-        raise ValueError(f"verify needs max_size >= 1 and max_n >= 2, got {max_size} and {max_n}")
+    if max_size < 1 or max_n < 2 or degree < 1:
+        raise ValueError(f"verify needs max_size >= 1, max_n >= 2 and degree >= 1, "
+                         f"got {max_size}, {max_n} and {degree}")
     small = min(max_size, 4)
     return [
         check_hopf_symmetry(max_size),

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -94,7 +95,7 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("flag, value", [
         ("--max-size", "-1"), ("--degree", "-2"), ("--max-n", "0"),
-        ("--max-size", "0"), ("--max-n", "1"),
+        ("--max-size", "0"), ("--max-n", "1"), ("--degree", "0"),
     ])
     def test_verify_rejects_out_of_range_bound(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
@@ -102,10 +103,13 @@ class TestErrorHandling:
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("max_size, max_n", [(0, 4), (5, 1)])
-    def test_run_all_rejects_bounds_that_sweep_nothing(self, max_size, max_n):
+    @pytest.mark.parametrize("max_size, max_n, degree", [
+        pytest.param(0, 4, 10, id="0-4"), pytest.param(5, 1, 10, id="5-1"),
+        pytest.param(5, 4, 0, id="degree-0"),
+    ])
+    def test_run_all_rejects_bounds_that_sweep_nothing(self, max_size, max_n, degree):
         with pytest.raises(ValueError):
-            run_all(max_size=max_size, max_n=max_n)
+            run_all(max_size=max_size, max_n=max_n, degree=degree)
 
     def test_series_rejects_negative_degree(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -119,10 +123,14 @@ class TestErrorHandling:
 
 
 def test_module_entry_point():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "hopfly", "hopf", "--lambda", "0", "--mu", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "v^-1" in proc.stdout

@@ -135,7 +135,7 @@ class TestEmptySeries:
             product = TruncatedSeries.one(n, like=RingElem(LaurentPoly.one(nvars=1)))
             for i in range(n):
                 x = RingElem(LaurentPoly.monomial(1, s=2 * i, nvars=1))
-                product = product.mul(TruncatedSeries.linear_factor(x, 1, n))
+                product = product.mul(TruncatedSeries.linear_factor(x, n))
             assert reindexed == product
 
     def test_scaled_coefficients_match_displayed_fractions(self):
@@ -160,8 +160,8 @@ class TestDecoratedSeries:
         base = elementary_series_empty(degree)
         for k in range(7):
             expected = base.mul(
-                TruncatedSeries.linear_factor(elem({(-1, 1): 1}), 1, degree)
-            ).mul(TruncatedSeries.linear_factor(elem({(-1, 1 - 2 * k): 1}), -1, degree))
+                TruncatedSeries.linear_factor(elem({(-1, 1): 1}), degree)
+            ).mul(TruncatedSeries.linear_factor(elem({(-1, 1 - 2 * k): 1}), degree).invert())
             assert elementary_series(column_partition(k), degree) == expected
 
     def test_row_decoration_via_complete_ratio(self):
@@ -170,8 +170,8 @@ class TestDecoratedSeries:
         base = complete_series(EMPTY, degree)
         for k in range(7):
             expected = base.mul(
-                TruncatedSeries.linear_factor(-elem({(-1, 1 - 2 * k): 1}), 1, degree)
-            ).mul(TruncatedSeries.linear_factor(-elem({(-1, 1): 1}), -1, degree))
+                TruncatedSeries.linear_factor(-elem({(-1, 1 - 2 * k): 1}), degree)
+            ).mul(TruncatedSeries.linear_factor(-elem({(-1, 1): 1}), degree).invert())
             assert complete_series(column_partition(k), degree) == expected
 
     def test_three_one_scaled_coefficients(self):
@@ -288,7 +288,7 @@ class TestContentPolynomial:
 
     def test_single_cell(self):
         u = elem({(-1, 1): 1})
-        expected = TruncatedSeries.linear_factor(u, 1, 2)
+        expected = TruncatedSeries.linear_factor(u, 2)
         assert content_polynomial(Partition((1,)), u, 2) == expected
 
     def test_three_one_ratio(self):
@@ -297,7 +297,7 @@ class TestContentPolynomial:
         ratio = content_polynomial(Partition((3, 1)), up, 5).mul(
             content_polynomial(Partition((3, 1)), down, 5).invert()
         )
-        expected = TruncatedSeries.linear_factor(elem({(-1, 5): 1}), 1, 5).mul(
-            TruncatedSeries.linear_factor(elem({(-1, -3): 1}), -1, 5)
+        expected = TruncatedSeries.linear_factor(elem({(-1, 5): 1}), 5).mul(
+            TruncatedSeries.linear_factor(elem({(-1, -3): 1}), 5).invert()
         )
         assert ratio == expected

@@ -248,6 +248,16 @@ def test_json_rejects_malformed_terms():
         ring_elem_from_json({"vars": 3, "num": [[1, 1, 1, 1]]})
     with pytest.raises(ValueError):
         ring_elem_from_json({"vars": 2, "num": [[1, "1", 1]]})
+    for bad in (
+        {"vars": 1, "num": [[0, 1]], "den": [1.9]},
+        {"vars": 1, "num": [[0, 1]], "den": ["2"]},
+        {"vars": 1, "num": [[0, 1]], "den": [True]},
+        {"vars": 1, "num": [[0, 1]], "den": [0]},
+        {"vars": 1, "num": [[True, 1]]},
+        {"vars": 2, "num": [[0, 1.0, 1]]},
+    ):
+        with pytest.raises(ValueError):
+            ring_elem_from_json(bad)
     one_var = ring_elem_from_json({"vars": 1, "num": [[2, 3]], "den": [1]})
     assert one_var == RingElem(P1({2: 3}), (1,))
 

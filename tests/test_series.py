@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hopfly.ring import LaurentPoly, RingElem
 from hopfly.partitions import EMPTY, Partition, partitions_up_to
 from hopfly.series import TruncatedSeries, schur_classical, schur_of_series
-from hopfly.hopf import complete_series, elementary_series
+from hopfly.hopf import complete_series, elementary_series, times_factors
 
 P2 = LaurentPoly
 
@@ -39,8 +39,8 @@ def unit_series(draw, degree=5):
 
 class TestSeriesArithmetic:
     def test_one_times_one_minus_t(self):
-        plus = TruncatedSeries.linear_factor(ONE, 1, 2)
-        minus = TruncatedSeries.linear_factor(-ONE, 1, 2)
+        plus = TruncatedSeries.linear_factor(ONE, 2)
+        minus = TruncatedSeries.linear_factor(-ONE, 2)
         assert plus.mul(minus) == series(ONE, ZERO, -ONE)  # 1 - t^2
 
     def test_identity_element(self):
@@ -53,25 +53,17 @@ class TestSeriesArithmetic:
         assert a.mul(b).degree == 3
 
     def test_invert_geometric(self):
-        u = elem({(0, 2): 1})
-        got = TruncatedSeries.linear_factor(u, 1, 3).invert()
-        expected = TruncatedSeries.linear_factor(u, -1, 3)
-        assert got == expected
         # 1 - q^-2 t + q^-4 t^2 - q^-6 t^3 spelled out
         w = elem({(0, -2): 1})
         spelled = series(ONE, -w, elem({(0, -4): 1}), elem({(0, -6): -1}))
-        assert TruncatedSeries.linear_factor(w, -1, 3) == spelled
+        assert TruncatedSeries.linear_factor(w, 3).invert() == spelled
 
     def test_invert_requires_unit_constant(self):
         with pytest.raises(ValueError):
             series(elem({(0, 1): 1}), ONE).invert()
 
     def test_linear_factor_zero_parameter(self):
-        assert TruncatedSeries.linear_factor(ZERO, 1, 2) == TruncatedSeries.one(2)
-
-    def test_bad_sign(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries.linear_factor(ONE, 2, 3)
+        assert TruncatedSeries.linear_factor(ZERO, 2) == TruncatedSeries.one(2)
 
     def test_coefficient_out_of_range(self):
         s = TruncatedSeries.one(2)
@@ -85,6 +77,24 @@ class TestSeriesArithmetic:
 def test_invert_roundtrip(a):
     assert a.mul(a.invert()) == TruncatedSeries.one(a.degree)
     assert a.invert().invert() == a
+
+
+@st.composite
+def monomial(draw):
+    exps = (draw(st.integers(-2, 2)), draw(st.integers(-3, 3)))
+    return elem({exps: draw(st.sampled_from((-2, -1, 1, 3)))})
+
+
+@settings(max_examples=30, deadline=None)
+@given(unit_series(), monomial(), monomial())
+def test_factor_step_matches_cauchy_products(a, u, w):
+    # Coefficients of a need not sit over [1]...[k], unlike the decoration
+    # series that times_factors is built for.
+    d = a.degree
+    expected = a.mul(TruncatedSeries.linear_factor(u, d)).mul(
+        TruncatedSeries.linear_factor(w, d).invert()
+    )
+    assert times_factors(a, [(u, w)]) == expected
 
 
 class TestSchurOfSeries:
@@ -145,7 +155,7 @@ class TestSchurClassical:
         xs = self.xs(8, 2, -2)  # the N=3 factor exponents of (3,1)
         prod = TruncatedSeries.one(4)
         for x in xs:
-            prod = prod.mul(TruncatedSeries.linear_factor(x, 1, 4))
+            prod = prod.mul(TruncatedSeries.linear_factor(x, 4))
         assert schur_classical(Partition((2, 2)), xs) == schur_of_series(Partition((2, 2)), prod)
 
     def test_bialternant_sweep(self):
@@ -159,7 +169,7 @@ class TestSchurClassical:
                 degree = max(lam.length + (lam.parts[0] if lam.parts else 0), 1)
                 prod = TruncatedSeries.one(degree)
                 for x in xs:
-                    prod = prod.mul(TruncatedSeries.linear_factor(x, 1, degree))
+                    prod = prod.mul(TruncatedSeries.linear_factor(x, degree))
                 assert schur_classical(lam, xs) == schur_of_series(lam, prod)
 
 

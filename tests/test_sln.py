@@ -155,7 +155,7 @@ class TestElementaryFactors:
                 factors = sln_elementary_factors(lam, n)
                 prod = TruncatedSeries.one(n, like=factors[0])
                 for f in factors:
-                    prod = prod.mul(TruncatedSeries.linear_factor(f, 1, n))
+                    prod = prod.mul(TruncatedSeries.linear_factor(f, n))
                 specialised = elementary_series(lam, n).map_coeffs(
                     lambda c: c.substitute_v(n)
                 )
