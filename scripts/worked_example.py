@@ -3,7 +3,8 @@
 
 Computes the two-variable invariant for a pair of diagrams, then its sl(N)
 specialisation by both routes, and shows the Vandermonde minor that drives
-the determinant route.
+the minor route, computed by the bialternant formula as
+Delta(q^a) * s_lambda(q^a).
 """
 
 import argparse

@@ -25,7 +25,6 @@ from .partitions import (
 )
 from .series import (
     TruncatedSeries,
-    schur_classical,
     schur_of_series,
 )
 from .hopf import (

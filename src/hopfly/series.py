@@ -2,16 +2,14 @@
 
 A series is a finite coefficient list e_0, ..., e_D; arithmetic never reads
 past the truncation degree, and products truncate to the smaller degree of
-the factors.  Schur functions are read off either from series coefficients
-by the Jacobi-Trudy determinant, or from explicit variable values by the
-bialternant quotient; the two routes are independent and cross-check each
-other in the test suite.
+the factors.  Schur functions are read off from series coefficients by the
+Jacobi-Trudy determinant.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Sequence
+from typing import Callable
 
 from .ring import LaurentPoly, RingElem, det_fractions
 from .partitions import Partition
@@ -140,26 +138,3 @@ def schur_of_series(mu: Partition, series: TruncatedSeries) -> RingElem:
     ]
     return det_fractions(matrix).reduced()
 
-
-def schur_classical(lam: Partition, xs: Sequence[RingElem]) -> RingElem:
-    """Bialternant quotient det(x_i**(lam_j + N - j)) / det(x_i**(N - j)).
-
-    The denominator is the Vandermonde alternant, so the x values must be
-    pairwise distinct; the quotient always lies in the ring and the division
-    is performed exactly.
-    """
-    n = len(xs)
-    if n < lam.length:
-        raise ValueError(f"need at least {lam.length} variables for {lam}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if xs[i] == xs[j]:
-                raise ValueError("repeated variable values make the alternant vanish")
-    exps = lam.index_set(n)
-    numerator = det_fractions([[x ** e for e in exps] for x in xs])
-    vandermonde = det_fractions([[x ** e for e in Partition(()).index_set(n)] for x in xs])
-    cross = numerator.num * vandermonde.den_poly()
-    quo = cross.exact_div(vandermonde.num)
-    if quo is None:
-        raise ValueError("alternant quotient is not exact over the given values")
-    return RingElem(quo, numerator.den)

@@ -5,7 +5,15 @@ Two independent routes produce the same one-variable value:
 * substitution: apply v -> s**-N to the two-variable pairing;
 * minors: s**((1-N)(|lam|+|mu|)) * P(lam,mu) / P(empty,empty), where
   P(lam,mu) is the N x N minor of the Vandermonde matrix (q**(i*j)) with
-  rows picked by the index set of mu and columns by the index set of lam.
+  rows picked by the index set a of mu and columns by the index set of lam.
+
+The minor is never expanded as an N x N determinant.  It is a generalised
+Vandermonde determinant in x_i = q**a_i, so by the bialternant formula
+(Macdonald, Symmetric Functions and Hall Polynomials, I.3 (3.1)) it equals
+Delta(x) * s_lam(x), with Delta(x) = prod_{i<j} (x_i - x_j) and s_lam(x)
+the order-lam_1 Jacobi-Trudy determinant on prod_i (1 + x_i t).  Above the
+ring layer this route shares only ``schur_of_series`` with the substitution
+route: it never touches the two-variable series or v -> s**-N.
 
 Values are reported in s; a q = s**2 form exists only when every exponent
 is even (the minor prefactor can contribute odd powers of s).  The quantum
@@ -17,10 +25,12 @@ extending the coefficient ring to fractional powers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction
 
-from .ring import ConsistencyError, LaurentPoly, RingElem, determinant
+from .ring import ConsistencyError, LaurentPoly, RingElem
 from .partitions import EMPTY, Partition
+from .series import TruncatedSeries, required_degree, schur_of_series
 from .hopf import hopf_invariant
 
 
@@ -42,24 +52,51 @@ def _correction(lam: Partition, mu: Partition, n: int) -> Fraction:
     return Fraction(-2 * lam.size * mu.size, n)
 
 
+def _index_exponents(lam: Partition, n: int) -> tuple[int, ...]:
+    """The s-exponents 2*a_i of x_i = q**a_i, a = index_set(lam, n)."""
+    return tuple(2 * a for a in lam.index_set(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _alternant_rows(mu: Partition, n: int) -> tuple[LaurentPoly, TruncatedSeries]:
+    """Delta(x) = prod_{i<j} (x_i - x_j) and prod_i (1 + x_i t), the latter
+    exact at degree n, for x_i = q**a_i with a = index_set(mu, n)."""
+    xs = [LaurentPoly.monomial(1, s=e, nvars=1) for e in _index_exponents(mu, n)]
+    delta = LaurentPoly.one(1)
+    series = TruncatedSeries.one(n, like=RingElem(delta))
+    for i, x in enumerate(xs):
+        series = series.mul(TruncatedSeries.linear_factor(RingElem(x), n))
+        for y in xs[i + 1:]:
+            delta = delta * (x - y)
+    return delta, series
+
+
 def vandermonde_minor(lam: Partition, mu: Partition, n: int) -> LaurentPoly:
     """The N x N minor of (q**(i*j)) on rows index_set(mu), columns
-    index_set(lam), both taken in decreasing order (q = s**2)."""
+    index_set(lam), both taken in decreasing order (q = s**2).
+
+    Computed as Delta(x) * s_lam(x) over x_i = q**a_i, a = index_set(mu):
+    one Jacobi-Trudy determinant of order lam_1, no N x N matrix.
+    """
     if n < lam.length or n < mu.length:
         raise ValueError(
             f"need n >= both lengths: n={n}, lam={lam}, mu={mu}"
         )
-    rows = mu.index_set(n)
-    cols = lam.index_set(n)
-    matrix = [[LaurentPoly.monomial(1, s=2 * i * j, nvars=1) for j in cols] for i in rows]
-    return determinant(matrix)
+    delta, series = _alternant_rows(mu, n)
+    # coefficients past t**n are zero; Jacobi-Trudy may read up to lam_1 + l(lam) - 1
+    pad = required_degree(lam) - n
+    if pad > 0:
+        series = TruncatedSeries(series.coeffs + (RingElem(LaurentPoly.zero(1)),) * pad)
+    # polynomial entries, so the Schur value has no bracket denominator
+    return delta * schur_of_series(lam, series).num
 
 
 def hopf_sln_minor(lam: Partition, mu: Partition, n: int) -> SlNResult:
     """Minor-quotient route; the division is exact by construction and a
-    failure is a hard internal error."""
+    failure is a hard internal error.  The reference minor P(empty,empty)
+    is the Vandermonde product Delta(q**(n-1), ..., q**0)."""
     minor = vandermonde_minor(lam, mu, n)
-    reference = vandermonde_minor(EMPTY, EMPTY, n)
+    reference, _ = _alternant_rows(EMPTY, n)
     shifted = minor * LaurentPoly.monomial(1, s=(1 - n) * (lam.size + mu.size), nvars=1)
     quo = shifted.exact_div(reference)
     if quo is None:
@@ -113,10 +150,12 @@ def sl2_quantum_check(a: int, b: int, i: int, j: int) -> Sl2Check:
 
 def sln_elementary_factors(lam: Partition, n: int) -> tuple[RingElem, ...]:
     """Linear-factor parameters s**(n + 2*lam_j - 2j + 1), j = 1..n, whose
-    product expansion equals the specialised column series of lam."""
-    if n < lam.length:
-        raise ValueError(f"need n >= number of parts: n={n}, lam={lam}")
+    product expansion equals the specialised column series of lam.
+
+    They are the minor route's x_j = q**a_j, a = index_set(lam, n), divided
+    by s**(n-1).
+    """
     return tuple(
-        RingElem(LaurentPoly.monomial(1, s=n + 2 * lam.part(j) - 2 * j + 1, nvars=1))
-        for j in range(1, n + 1)
+        RingElem(LaurentPoly.monomial(1, s=e - (n - 1), nvars=1))
+        for e in _index_exponents(lam, n)
     )

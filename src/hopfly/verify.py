@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Iterable
 
-from .ring import LaurentPoly, RingElem
+from .ring import LaurentPoly, RingElem, determinant
 from .partitions import (
     EMPTY,
     Partition,
@@ -232,6 +232,13 @@ def check_specialisation_vanishing(max_size: int = 5, max_n: int = 3) -> CheckRe
 
 
 def check_minor_symmetry(max_size: int = 4, max_n: int = 4) -> CheckResult:
+    """P(lam, mu) = P(mu, lam): the Vandermonde matrix is symmetric.
+
+    With the minors factorised by the bialternant formula this is the
+    identity Delta(q**a) * s_lam(q**a) = Delta(q**b) * s_mu(q**b), for
+    a = index_set(mu, N) and b = index_set(lam, N): two different
+    Jacobi-Trudy determinants on two different products.
+    """
     bad = []
     for lam, mu in _all_pairs(max_size):
         for n in range(max(lam.length, mu.length, 1), max_n + 1):
@@ -244,21 +251,22 @@ def check_minor_symmetry(max_size: int = 4, max_n: int = 4) -> CheckResult:
     )
 
 
+def _literal_minor(lam: Partition, mu: Partition, n: int) -> LaurentPoly:
+    """The minor of (q**(i*j)) on rows index_set(mu, n) and columns
+    index_set(lam, n), expanded as an N x N determinant."""
+    return determinant([
+        [LaurentPoly.monomial(1, s=2 * i * j, nvars=1) for j in lam.index_set(n)]
+        for i in mu.index_set(n)
+    ])
+
+
 def check_minor_bialternant(max_size: int = 4, max_n: int = 4) -> CheckResult:
+    """The bialternant factorisation Delta(x) * s_lam(x) that
+    ``vandermonde_minor`` computes equals the literal N x N determinant."""
     bad = []
     for lam, mu in _all_pairs(max_size):
         for n in range(max(lam.length, mu.length, 1), max_n + 1):
-            xs = [RingElem(LaurentPoly.monomial(1, s=2 * e, nvars=1)) for e in mu.index_set(n)]
-            # s_lam(x) by Jacobi-Trudy on prod_i (1 + x_i t), not by alternants
-            degree = required_degree(lam)
-            series = TruncatedSeries.one(degree, like=xs[0])
-            for x in xs:
-                series = series.mul(TruncatedSeries.linear_factor(x, degree))
-            lhs = schur_of_series(lam, series)
-            numerator = vandermonde_minor(lam, mu, n)
-            reference = vandermonde_minor(EMPTY, mu, n)
-            quo = numerator.exact_div(reference)
-            if quo is None or lhs != RingElem(quo):
+            if vandermonde_minor(lam, mu, n) != _literal_minor(lam, mu, n):
                 bad.append((lam, mu, n))
     return CheckResult(
         "bialternant consistency of minors",

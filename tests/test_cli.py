@@ -71,6 +71,14 @@ class TestOtherCommands:
         assert payload["routes_agree"] is True
         assert payload["correction_exponent"] == {"numerator": -1, "denominator": 1}
 
+    def test_sln_size_six_pair_at_n_20(self, capsys):
+        code, out, _ = run_cli(capsys, "sln", "--lambda", "3,2,1", "--mu", "3,2,1",
+                               "--N", "20", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["routes_agree"] is True
+        assert ring_elem_from_json(payload["minor_value"]) == ring_elem_from_json(payload["value"])
+
     def test_verify_small_bounds(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max-size", "2", "--max-n", "2",
                                "--degree", "4")

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfly.ring import LaurentPoly, RingElem
+from hopfly.ring import LaurentPoly, RingElem, det_fractions
 from hopfly.partitions import EMPTY, Partition, partitions_up_to
-from hopfly.series import TruncatedSeries, schur_classical, schur_of_series
+from hopfly.series import TruncatedSeries, schur_of_series
 from hopfly.hopf import complete_series, elementary_series, times_factors
 
 P2 = LaurentPoly
@@ -15,6 +15,28 @@ def elem(terms, den=()):
 
 ONE = RingElem(P2.one())
 ZERO = RingElem(P2.zero())
+
+
+def schur_classical(lam, xs):
+    """Bialternant quotient det(x_i**(lam_j + N - j)) / det(x_i**(N - j)).
+
+    The denominator is the Vandermonde alternant, so the x values must be
+    pairwise distinct; the quotient always lies in the ring and the division
+    is performed exactly.
+    """
+    n = len(xs)
+    if n < lam.length:
+        raise ValueError(f"need at least {lam.length} variables for {lam}")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if xs[i] == xs[j]:
+                raise ValueError("repeated variable values make the alternant vanish")
+    numerator = det_fractions([[x ** e for e in lam.index_set(n)] for x in xs])
+    vandermonde = det_fractions([[x ** e for e in EMPTY.index_set(n)] for x in xs])
+    quo = (numerator.num * vandermonde.den_poly()).exact_div(vandermonde.num)
+    if quo is None:
+        raise ValueError("alternant quotient is not exact over the given values")
+    return RingElem(quo, numerator.den)
 
 
 def series(*coeffs):

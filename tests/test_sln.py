@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from hopfly.ring import LaurentPoly, RingElem
+import hopfly.ring as ring
+from hopfly.ring import LaurentPoly, RingElem, determinant
 from hopfly.partitions import EMPTY, Partition, partitions_up_to
 from hopfly.series import TruncatedSeries
 from hopfly.hopf import elementary_series, hopf_invariant
+import hopfly.sln as sln
 from hopfly.sln import (
     hopf_sln_minor,
     hopf_sln_substitution,
@@ -17,6 +19,15 @@ from hopfly.sln import (
 def qp(d):
     """Laurent polynomial in q = s^2 from a q-exponent -> coeff dict."""
     return LaurentPoly({2 * e: c for e, c in d.items()}, nvars=1)
+
+
+def literal_minor(lam, mu, n):
+    """The minor of (q^(ij)) on rows index_set(mu), columns index_set(lam),
+    expanded as an N x N determinant: the oracle for the factorised minor."""
+    return determinant([
+        [LaurentPoly.monomial(1, s=2 * i * j, nvars=1) for j in lam.index_set(n)]
+        for i in mu.index_set(n)
+    ])
 
 
 class TestVandermondeMinor:
@@ -40,6 +51,35 @@ class TestVandermondeMinor:
     def test_domain(self):
         with pytest.raises(ValueError):
             vandermonde_minor(Partition((1, 1, 1)), EMPTY, 2)
+
+    def test_equals_literal_determinant(self):
+        triples = 0
+        for lam in partitions_up_to(4):
+            for mu in partitions_up_to(4):
+                for n in range(max(lam.length, mu.length, 1), 7):
+                    triples += 1
+                    assert vandermonde_minor(lam, mu, n) == literal_minor(lam, mu, n), (lam, mu, n)
+        assert triples == 659
+
+    def test_reference_minor_is_vandermonde_product(self):
+        # the P(empty, empty) that hopf_sln_minor divides by
+        for n in range(1, 9):
+            reference, _ = sln._alternant_rows(EMPTY, n)
+            assert reference == literal_minor(EMPTY, EMPTY, n)
+
+    def test_no_determinant_above_lambda_one(self, monkeypatch):
+        orders = []
+
+        def recording(matrix):
+            orders.append(len(matrix))
+            return determinant(matrix)
+
+        monkeypatch.setattr(ring, "determinant", recording)
+        monkeypatch.setattr(sln, "determinant", recording, raising=False)
+        staircase = Partition((3, 2, 1))
+        vandermonde_minor(staircase, staircase, 20)
+        hopf_sln_minor(staircase, staircase, 20)
+        assert orders and max(orders) <= staircase.parts[0]
 
 
 class TestSpecialisationRoutes:
