@@ -8,9 +8,12 @@ closed idempotents of two Young diagrams is computed as
 where E_lam is the generating series of the pairings of lam against single
 columns, expressed as an explicit rational multiple of the empty-diagram
 series via the diagonal (arm, leg) data of lam, and s_mu is the Jacobi-Trudy
-determinant in its coefficients.  The orientation is fixed: lam always
-supplies the series and mu the Schur side; symmetry of the result is a
-theorem that the test suite checks, not a shortcut the implementation takes.
+determinant in its coefficients.  lam always supplies the series and mu the
+Schur side; symmetry of the result is a theorem that the test suite checks,
+not a shortcut the implementation takes.  The Schur side picks the smaller
+Jacobi-Trudy order: the e-form of order mu_1 on E_lam, or, when
+l(mu) < mu_1, the h-form of order l(mu) on the row series
+H_lam = 1 / E_lam(-t).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Iterable
 
 from .ring import LaurentPoly, RingElem
 from .partitions import Partition, column_partition, hook_partition, row_partition
-from .series import TruncatedSeries, required_degree, schur_of_series
+from .series import TruncatedSeries, h_form_is_smaller, required_degree, schur_of_series
 
 
 @dataclasses.dataclass(frozen=True)
@@ -124,8 +127,12 @@ def complete_series(lam: Partition, degree: int) -> TruncatedSeries:
 
 @functools.lru_cache(maxsize=None)
 def _hopf_value(lam: Partition, mu: Partition) -> RingElem:
-    series = elementary_series(lam, required_degree(mu))
-    return schur_of_series(mu, series) * eval_unknot(lam)
+    degree = required_degree(mu)
+    if h_form_is_smaller(mu):
+        s_mu = schur_of_series(mu.conjugate(), complete_series(lam, degree))
+    else:
+        s_mu = schur_of_series(mu, elementary_series(lam, degree))
+    return s_mu * eval_unknot(lam)
 
 
 def hopf_invariant(lam: Partition, mu: Partition) -> HopfResult:

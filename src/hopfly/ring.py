@@ -31,9 +31,9 @@ all fail.
 Determinants: minor expansion, except that one-variable matrices above
 order ``_EXPANSION_MAX_ORDER`` go to fraction-free Bareiss elimination.
 The sl(N) minor builds no N x N matrix, so two callers reach Bareiss:
-the one-variable Jacobi-Trudy matrix of a minor with lam_1 > 12
-(``hopfly minor --lambda 20 --mu 0 --N 20``), and the literal-determinant
-oracle of the ``bialternant`` verify check when ``--max-n`` is above 12.
+the one-variable Jacobi-Trudy matrix of a minor with min(lam_1, l(lam))
+> 12, which needs |lam| >= 169, and the literal-determinant oracle of the
+``bialternant`` verify check when ``--max-n`` is above 12.
 
 All values are immutable after construction and safe to share.
 """
@@ -462,12 +462,13 @@ class RingElem:
 
 # Largest order of a one-variable matrix expanded by minors; Bareiss takes
 # over above it.  The one-variable matrices above order 12 are the
-# Jacobi-Trudy matrix of an sl(N) minor with lam_1 > 12 and the literal
-# minor in the ``bialternant`` verify check at --max-n > 12.  On the
-# Jacobi-Trudy matrix of lam = (k) at N = k, expansion beats Bareiss at
-# k = 13 (0.24 against 0.90 s) and k = 16 (1.7 against 3.6 s) but loses at
-# k = 20 (27.5 against 15.7 s): the crossover lies between orders 16 and
-# 20, and Bareiss is kept for the orders past it.  Two-variable
+# Jacobi-Trudy matrix of an sl(N) minor with min(lam_1, l(lam)) > 12, so
+# |lam| >= 169, and the literal minor in the ``bialternant`` verify check
+# at --max-n > 12.  On the order-k e-form Jacobi-Trudy matrix of
+# lam = (k) at N = k, expansion beats Bareiss at k = 13 (0.24 against
+# 0.90 s) and k = 16 (1.7 against 3.6 s) but loses at k = 20 (27.5
+# against 15.7 s): the crossover lies between orders 16 and 20, and
+# Bareiss is kept for the orders past it.  Two-variable
 # matrices always expand: on the order-6 Jacobi-Trudy matrix of the
 # staircase pairing (6,5,4,3,2,1)^2, Bareiss took 97 s against 3.6 s for
 # expansion (Python 3.11, Xeon, one core).

@@ -3,7 +3,8 @@
 A series is a finite coefficient list e_0, ..., e_D; arithmetic never reads
 past the truncation degree, and products truncate to the smaller degree of
 the factors.  Schur functions are read off from series coefficients by the
-Jacobi-Trudy determinant.
+Jacobi-Trudy determinant; ``h_form_is_smaller`` picks which of its two
+orientations the callers build.
 """
 
 from __future__ import annotations
@@ -117,11 +118,22 @@ def required_degree(mu: Partition) -> int:
     return mu.length + mu.parts[0] - 1
 
 
+def h_form_is_smaller(mu: Partition) -> bool:
+    """Whether s_mu is cheaper as the h-form, of order l(mu), than as the
+    e-form, of order mu_1.  Ties keep the e-form."""
+    return mu.length < mu.part(1)
+
+
 def schur_of_series(mu: Partition, series: TruncatedSeries) -> RingElem:
     """Jacobi-Trudy determinant det(e_{mu'_i + j - i}) of the coefficients.
 
     The matrix has order mu_1; coefficients with negative index are zero and
     an index beyond the truncation degree raises rather than truncating.
+    Read on elementary coefficients e_k it is s_mu (the e-form).  Given the
+    complete coefficients h_k of H(t) = 1 / E(-t) and the conjugate mu'
+    instead, the same matrix det(h_{mu_i + j - i}) is s_mu at order l(mu)
+    (the h-form; Macdonald I.3 (3.4) and (3.5)).  Both forms read up to
+    degree l(mu) + mu_1 - 1, so ``required_degree`` serves either.
     """
     if mu.size == 0:
         return RingElem(LaurentPoly.one(series.coeffs[0].num.nvars))

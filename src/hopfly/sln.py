@@ -11,9 +11,11 @@ The minor is never expanded as an N x N determinant.  It is a generalised
 Vandermonde determinant in x_i = q**a_i, so by the bialternant formula
 (Macdonald, Symmetric Functions and Hall Polynomials, I.3 (3.1)) it equals
 Delta(x) * s_lam(x), with Delta(x) = prod_{i<j} (x_i - x_j) and s_lam(x)
-the order-lam_1 Jacobi-Trudy determinant on prod_i (1 + x_i t).  Above the
-ring layer this route shares only ``schur_of_series`` with the substitution
-route: it never touches the two-variable series or v -> s**-N.
+one Jacobi-Trudy determinant of order min(lam_1, l(lam)): the e-form on
+E(t) = prod_i (1 + x_i t), or, when l(lam) < lam_1, the h-form on
+H(t) = 1 / E(-t) = prod_i 1 / (1 - x_i t).  Above the ring layer this route
+shares only ``schur_of_series`` with the substitution route: it never
+touches the two-variable series or v -> s**-N.
 
 Values are reported in s; a q = s**2 form exists only when every exponent
 is even (the minor prefactor can contribute odd powers of s).  The quantum
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 from .ring import ConsistencyError, LaurentPoly, RingElem
 from .partitions import EMPTY, Partition
-from .series import TruncatedSeries, required_degree, schur_of_series
+from .series import TruncatedSeries, h_form_is_smaller, required_degree, schur_of_series
 from .hopf import hopf_invariant
 
 
@@ -76,19 +78,24 @@ def vandermonde_minor(lam: Partition, mu: Partition, n: int) -> LaurentPoly:
     index_set(lam), both taken in decreasing order (q = s**2).
 
     Computed as Delta(x) * s_lam(x) over x_i = q**a_i, a = index_set(mu):
-    one Jacobi-Trudy determinant of order lam_1, no N x N matrix.
+    one Jacobi-Trudy determinant of order min(lam_1, l(lam)), no N x N
+    matrix.
     """
     if n < lam.length or n < mu.length:
         raise ValueError(
             f"need n >= both lengths: n={n}, lam={lam}, mu={mu}"
         )
     delta, series = _alternant_rows(mu, n)
-    # coefficients past t**n are zero; Jacobi-Trudy may read up to lam_1 + l(lam) - 1
-    pad = required_degree(lam) - n
-    if pad > 0:
-        series = TruncatedSeries(series.coeffs + (RingElem(LaurentPoly.zero(1)),) * pad)
+    # coefficients past t**n are zero; Jacobi-Trudy reads up to lam_1 + l(lam) - 1
+    degree = required_degree(lam)
+    zero = RingElem(LaurentPoly.zero(1))
+    series = TruncatedSeries((series.coeffs + (zero,) * degree)[: degree + 1])
+    if h_form_is_smaller(lam):
+        schur = schur_of_series(lam.conjugate(), series.negate_t().invert())
+    else:
+        schur = schur_of_series(lam, series)
     # polynomial entries, so the Schur value has no bracket denominator
-    return delta * schur_of_series(lam, series).num
+    return delta * schur.num
 
 
 def hopf_sln_minor(lam: Partition, mu: Partition, n: int) -> SlNResult:

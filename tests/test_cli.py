@@ -58,6 +58,15 @@ class TestOtherCommands:
         assert code == 0
         assert "q = s^2" in out and "q^26" in out
 
+    def test_minor_long_row_matches_its_mirror(self, capsys):
+        texts = []
+        for lam, mu in (("20", "0"), ("0", "20")):
+            code, out, _ = run_cli(capsys, "minor", "--lambda", lam, "--mu", mu,
+                                   "--N", "20", "--format", "json")
+            assert code == 0
+            texts.append(json.loads(out)["value"]["text"])
+        assert texts[0] == texts[1]
+
     def test_sln_routes_agree(self, capsys):
         code, out, _ = run_cli(capsys, "sln", "--lambda", "3,1", "--mu", "2,2", "--N", "3")
         assert code == 0

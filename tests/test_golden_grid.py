@@ -7,7 +7,9 @@ most 4 cells each:
 * the canonical text of both sl(N) routes at every admissible N <= 4;
 * the sha256 of the ``--format json`` stdout of ``hopf``, ``sln`` and
   ``minor`` on the same grid, and of ``unknot`` and ``series --degree 5``
-  for every diagram.
+  for every diagram;
+* the sha256 of the ``verify --format json`` stdout at default bounds, so a
+  renamed, added or reworded check shows here.
 
 Regenerate it only on purpose, after a change that is meant to alter the
 output:
@@ -67,6 +69,7 @@ def grid_lines() -> list[str]:
                 triple = [*pair, "--N", str(n)]
                 lines.append(f"json sln {lam} {mu} {n} {_json_digest('sln', *triple)}")
                 lines.append(f"json minor {lam} {mu} {n} {_json_digest('minor', *triple)}")
+    lines.append(f"json verify {_json_digest('verify')}")
     return lines
 
 

@@ -1,5 +1,7 @@
 import pytest
 
+import hopfly.hopf as hopf
+import hopfly.ring as ring
 from hopfly.ring import LaurentPoly, RingElem
 from hopfly.partitions import (
     EMPTY,
@@ -239,6 +241,25 @@ class TestHopfInvariant:
         ]
         for lam, mu in pairs:
             assert hopf_invariant(lam, mu).value == hopf_invariant(mu, lam).value
+
+    @pytest.mark.parametrize("lam, mu, order", [
+        ((1,), (13,), 1),
+        ((8, 6, 4, 2), (7, 5, 3, 1), 4),
+        ((6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1), 6),  # a tie: order 6 either way
+    ])
+    def test_jacobi_trudy_order_is_the_smaller_one(self, monkeypatch, lam, mu, order):
+        # The pairing builds one Jacobi-Trudy matrix; stop once its order is
+        # known, since the staircase determinant itself takes seconds.
+        class Built(Exception):
+            pass
+
+        def recording(matrix):
+            raise Built(len(matrix))
+
+        monkeypatch.setattr(ring, "determinant", recording)
+        with pytest.raises(Built) as built:
+            hopf._hopf_value.__wrapped__(Partition(lam), Partition(mu))
+        assert built.value.args == (order,)
 
     def test_closed_form_examples(self):
         assert hopf_column_row_closed(0, 0) == 1

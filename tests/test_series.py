@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfly.ring import LaurentPoly, RingElem, det_fractions
+from hopfly.ring import LaurentPoly, RingElem, det_fractions, format_ring_elem
 from hopfly.partitions import EMPTY, Partition, partitions_up_to
-from hopfly.series import TruncatedSeries, schur_of_series
+from hopfly.series import TruncatedSeries, h_form_is_smaller, required_degree, schur_of_series
 from hopfly.hopf import complete_series, elementary_series, times_factors
 
 P2 = LaurentPoly
@@ -149,6 +149,32 @@ class TestSchurOfSeries:
             + e(3)
         )
         assert schur_of_series(Partition((3,)), s) == expected
+
+
+class TestJacobiTrudyDuality:
+    def test_e_form_equals_h_form(self):
+        # s_mu(E_lam) two ways: order mu_1 on E_lam, order l(mu) on H_lam = 1/E_lam(-t)
+        pairs = 0
+        for lam in partitions_up_to(5):
+            for mu in partitions_up_to(5):
+                if mu == EMPTY:
+                    continue
+                pairs += 1
+                degree = required_degree(mu)
+                e_form = schur_of_series(mu, elementary_series(lam, degree))
+                h_form = schur_of_series(mu.conjugate(), complete_series(lam, degree))
+                assert e_form == h_form, (lam, mu)
+                assert format_ring_elem(e_form) == format_ring_elem(h_form), (lam, mu)
+        assert pairs == 342
+
+    def test_h_form_only_when_strictly_smaller(self):
+        assert not h_form_is_smaller(EMPTY)
+        assert not h_form_is_smaller(Partition((1,)))
+        assert not h_form_is_smaller(Partition((2, 1, 1)))
+        assert not h_form_is_smaller(Partition((2, 2)))  # ties keep the e-form
+        assert not h_form_is_smaller(Partition((6, 5, 4, 3, 2, 1)))
+        assert h_form_is_smaller(Partition((13,)))
+        assert h_form_is_smaller(Partition((7, 5, 3, 1)))
 
 
 class TestSchurClassical:

@@ -5,7 +5,7 @@ import pytest
 import hopfly.ring as ring
 from hopfly.ring import LaurentPoly, RingElem, determinant
 from hopfly.partitions import EMPTY, Partition, partitions_up_to
-from hopfly.series import TruncatedSeries
+from hopfly.series import TruncatedSeries, h_form_is_smaller, required_degree, schur_of_series
 from hopfly.hopf import elementary_series, hopf_invariant
 import hopfly.sln as sln
 from hopfly.sln import (
@@ -66,6 +66,45 @@ class TestVandermondeMinor:
         for n in range(1, 9):
             reference, _ = sln._alternant_rows(EMPTY, n)
             assert reference == literal_minor(EMPTY, EMPTY, n)
+
+    def test_unchosen_orientation_equals_literal_determinant(self):
+        # Delta(x) * s_lam(x) in the Jacobi-Trudy form vandermonde_minor skips:
+        # the e-form on prod (1 + x_i t) where it takes the h-form, and the
+        # reverse, so both orientations meet the literal oracle.
+        triples = 0
+        for lam in partitions_up_to(4):
+            degree = required_degree(lam)
+            for mu in partitions_up_to(4):
+                for n in range(max(lam.length, mu.length, 1), 7):
+                    triples += 1
+                    e = TruncatedSeries.one(degree, like=RingElem(LaurentPoly.one(1)))
+                    for a in mu.index_set(n):
+                        x = RingElem(LaurentPoly.monomial(1, s=2 * a, nvars=1))
+                        e = e.mul(TruncatedSeries.linear_factor(x, degree))
+                    if h_form_is_smaller(lam):
+                        schur = schur_of_series(lam, e)
+                    else:
+                        schur = schur_of_series(lam.conjugate(), e.negate_t().invert())
+                    delta, _ = sln._alternant_rows(mu, n)
+                    assert delta * schur.num == literal_minor(lam, mu, n), (lam, mu, n)
+        assert triples == 659
+
+    def test_long_row_builds_order_one(self, monkeypatch):
+        orders = []
+
+        def recording(matrix):
+            orders.append(len(matrix))
+            return determinant(matrix)
+
+        def no_bareiss(matrix):
+            raise AssertionError(f"Bareiss on an order-{len(matrix)} matrix")
+
+        monkeypatch.setattr(ring, "determinant", recording)
+        monkeypatch.setattr(ring, "_det_bareiss", no_bareiss)
+        row = Partition((20,))
+        minor = vandermonde_minor(row, EMPTY, 20)
+        assert orders == [1]
+        assert minor == vandermonde_minor(EMPTY, row, 20)
 
     def test_no_determinant_above_lambda_one(self, monkeypatch):
         orders = []
