@@ -14,11 +14,17 @@ Two value types live here:
   depends on normalisation: two elements are equal iff they agree after
   cross multiplication.
 
-Kernels: one loop multiplies, ``_addmul`` (acc += a * b), and one divides,
-``_div_terms_1var``, both over int-keyed term dicts.  Two-variable terms
-are keyed ``(e_v, e_s)`` and cut into v-slices ``{e_v: {e_s: c}}`` per
-call: a product multiplies slice pairs, and an exact quotient is long
-division in v, one slice division per step.
+Kernels: two multiply and one divides.  A product of dense operands, with
+at least ``_PACKED_MIN_PRODUCTS_PER_SLOT`` term products per coefficient
+slot of the result, goes to ``_mul_packed`` (Kronecker substitution): each
+operand is packed into one Python int, the ints are multiplied, and the
+result is decoded once.  Every other product goes to the term loop
+``_addmul`` (acc += a * b), and exact division to ``_div_terms_1var``,
+both over int-keyed term dicts.  For those two, two-variable terms are
+keyed ``(e_v, e_s)`` and cut into v-slices ``{e_v: {e_s: c}}`` per call: a
+product multiplies slice pairs, and an exact quotient is long division in
+v, one slice division per step.  Values are stored as term dicts either
+way; packing lives only inside one multiply.
 
 Denominators: ``_lift`` rewrites a numerator over a larger bracket multiset,
 which is all that equality, addition and ``det_fractions`` need.
@@ -29,20 +35,27 @@ whose coefficient k has denominator [1]...[k]), and trial divisions would
 all fail.
 
 Determinants: minor expansion, except that one-variable matrices above
-order ``_EXPANSION_MAX_ORDER`` go to fraction-free Bareiss elimination.
-The sl(N) minor builds no N x N matrix, so two callers reach Bareiss:
-the one-variable Jacobi-Trudy matrix of a minor with min(lam_1, l(lam))
-> 12, which needs |lam| >= 169, and the literal-determinant oracle of the
-``bialternant`` verify check when ``--max-n`` is above 12.
+order ``_EXPANSION_MAX_ORDER`` (12) go to fraction-free Bareiss
+elimination.  The sl(N) minor builds no N x N matrix, so two callers reach
+Bareiss: the one-variable Jacobi-Trudy matrix of a minor with
+min(lam_1, l(lam)) > 12, which needs |lam| >= 169, and the
+literal-determinant oracle of the ``bialternant`` verify check when
+``--max-n`` is above 12.  With the packed multiply, expansion is the
+faster on Jacobi-Trudy matrices up to order 16 and Bareiss on the literal
+oracle from order 9 on; one order bound cannot serve both, and 12 keeps
+the oracle fast (timings at the constant).
 
 All values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
+import array
 import dataclasses
 import functools
+import itertools
 import re
+import sys
 from collections import Counter
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -147,6 +160,107 @@ def _div_terms_2var(num: dict, den: dict) -> Optional[dict]:
             if not acc:
                 del rem[qv + ev]
     return _flatten(quo)
+
+
+# ---------------------------------------------------------------------------
+# the packed (Kronecker substitution) multiply for dense operands
+
+
+# Least number of term products per slot of the packed product at which
+# ``_mul_packed`` replaces the term loop.  Replaying the operands of every
+# product of each default-seed benchmark workload (Python 3.11.7, shared
+# 2-vCPU host, one process, medians of 5): ladder's 837 products took
+# 4.15 s on the term loop alone and 0.90 s at this threshold (79 packed);
+# verify's 51,227 took 2.39 and 2.45 s (22 packed); sln's 14,675 took
+# 0.171 and 0.128 s (61 packed).  Thresholds 1 and 2 timed the same within
+# the noise, and 8 cost ladder 20 %.  Packing every product made verify
+# 1.3x and sln 1.6x slower: sparse bracket products leave most slots
+# empty, and the slots cost more than the term products they replace.
+_PACKED_MIN_PRODUCTS_PER_SLOT = 4
+
+# Translation table from the top byte of a two's-complement slot to the
+# byte that sign-extends it.
+_SIGN_BYTE = bytes(0xFF if b & 0x80 else 0 for b in range(256))
+
+
+def _pack(keys: list, coeffs, w: int) -> int:
+    """Sum of c * 2**(8*w*k) over the slot indices k and coefficients c."""
+    size = (max(keys) + 1) * w
+    pos = bytearray(size)
+    neg = bytearray(size)
+    for k, c in zip(keys, coeffs):
+        o = k * w
+        if c > 0:
+            pos[o:o + w] = c.to_bytes(w, "little")
+        else:
+            neg[o:o + w] = (-c).to_bytes(w, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(p: int, w: int, n: int) -> list:
+    """The n signed w-byte slots of p, lowest first; each must lie strictly
+    between -2**(8*w-1) and 2**(8*w-1)."""
+    bias = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+    # Biasing makes every slot a nonnegative digit, so the slots no longer
+    # borrow from each other; flipping each top bit back leaves each slot
+    # in two's complement.
+    buf = ((p + bias) ^ bias).to_bytes(n * w, "little")
+    if w > 8:
+        return [int.from_bytes(buf[i:i + w], "little", signed=True)
+                for i in range(0, n * w, w)]
+    # Widen each slot to eight bytes, one byte plane at a time.
+    wide = bytearray(8 * n)
+    for j in range(w):
+        wide[j::8] = buf[j::w]
+    sign = buf[w - 1::w].translate(_SIGN_BYTE)
+    for j in range(w, 8):
+        wide[j::8] = sign
+    slots = array.array("q", wide)
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots.tolist()
+
+
+def _mul_packed(a: dict, b: dict, nvars: int) -> Optional[dict]:
+    """a * b for term dicts of either arity by Kronecker substitution, or
+    None when the operands are too sparse for it to pay.
+
+    Each operand, shifted to exponents >= 0, becomes one integer with a
+    slot of w bytes per exponent (per (e_v, e_s) pair, s varying fastest
+    with the product's s-span as stride); one integer product and one
+    decode give every coefficient.  A product coefficient sums at most
+    min(#a, #b) term products, which bounds it and so fixes w.
+    """
+    na, nb = len(a), len(b)
+    # A product has at least na + nb - 1 slots: skip the layout when even
+    # that many would be too sparse.
+    if not (na and nb) or na * nb < _PACKED_MIN_PRODUCTS_PER_SLOT * (na + nb - 1):
+        return None
+    if nvars == 1:
+        a0, b0 = min(a), min(b)
+        n = max(a) - a0 + max(b) - b0 + 1
+        if na * nb < _PACKED_MIN_PRODUCTS_PER_SLOT * n:
+            return None
+        keys = range(a0 + b0, a0 + b0 + n)
+        ka = [e - a0 for e in a]
+        kb = [e - b0 for e in b]
+    else:
+        sa = [es for _, es in a]
+        sb = [es for _, es in b]
+        (va, _), (vtop_a, _), sa0 = min(a), max(a), min(sa)
+        (vb, _), (vtop_b, _), sb0 = min(b), max(b), min(sb)
+        stride = max(sa) - sa0 + max(sb) - sb0 + 1
+        n = (vtop_a - va + vtop_b - vb + 1) * stride
+        if na * nb < _PACKED_MIN_PRODUCTS_PER_SLOT * n:
+            return None
+        keys = itertools.product(range(va + vb, vtop_a + vtop_b + 1),
+                                 range(sa0 + sb0, sa0 + sb0 + stride))
+        ka = [(ev - va) * stride + es - sa0 for ev, es in a]
+        kb = [(ev - vb) * stride + es - sb0 for ev, es in b]
+    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(na, nb)
+    w = bound.bit_length() // 8 + 1
+    coeffs = _unpack(_pack(ka, a.values(), w) * _pack(kb, b.values(), w), w, n)
+    return dict(zip(itertools.compress(keys, coeffs), itertools.compress(coeffs, coeffs)))
 
 
 def _from_terms(data: dict, nvars: int) -> "LaurentPoly":
@@ -278,10 +392,11 @@ class LaurentPoly:
             return LaurentPoly({e: c * other for e, c in self._terms.items()}, self.nvars)
         if not isinstance(other, LaurentPoly) or other.nvars != self.nvars:
             return NotImplemented
-        data: dict = {}
-        if self.nvars == 1:
+        data = _mul_packed(self._terms, other._terms, self.nvars)
+        if data is None and self.nvars == 1:
+            data = {}
             _addmul(data, self._terms, other._terms)
-        else:
+        elif data is None:
             sb = _slices(other._terms)
             prod: dict = {}
             for va, sa in _slices(self._terms).items():
@@ -464,14 +579,19 @@ class RingElem:
 # over above it.  The one-variable matrices above order 12 are the
 # Jacobi-Trudy matrix of an sl(N) minor with min(lam_1, l(lam)) > 12, so
 # |lam| >= 169, and the literal minor in the ``bialternant`` verify check
-# at --max-n > 12.  On the order-k e-form Jacobi-Trudy matrix of
-# lam = (k) at N = k, expansion beats Bareiss at k = 13 (0.24 against
-# 0.90 s) and k = 16 (1.7 against 3.6 s) but loses at k = 20 (27.5
-# against 15.7 s): the crossover lies between orders 16 and 20, and
-# Bareiss is kept for the orders past it.  Two-variable
-# matrices always expand: on the order-6 Jacobi-Trudy matrix of the
-# staircase pairing (6,5,4,3,2,1)^2, Bareiss took 97 s against 3.6 s for
-# expansion (Python 3.11, Xeon, one core).
+# at --max-n > 12.  The two cross over at different orders.  On the
+# order-k e-form Jacobi-Trudy matrix of lam = (k) at N = k, expansion
+# against Bareiss took 0.10 against 0.28 s at k = 12, 0.16 against 0.44 s
+# at 13, 1.4 against 1.7 s at 16, 3.6 against 3.4 s at 17 and 32 against
+# 9.0 s at 20.  On the literal N x N matrix of (q**(i*j)) they took 0.04
+# against 0.03 s at N = 9, 0.98 against 0.33 s at 12 and 2.7 against
+# 0.56 s at 13 (Python 3.11.7, shared 2-vCPU host, packed multiply).  So
+# 12 is kept: raising it to the Jacobi-Trudy crossover would make the
+# oracle 5x slower at --max-n 13 to gain at most 3x on minors that need
+# |lam| >= 169.  Two-variable matrices always expand: on the order-6
+# Jacobi-Trudy matrix of the staircase pairing (6,5,4,3,2,1)^2, Bareiss
+# took 97 s against 3.6 s for expansion (Python 3.11, Xeon, one core,
+# term-loop multiply).
 _EXPANSION_MAX_ORDER = 12
 
 

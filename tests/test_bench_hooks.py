@@ -69,3 +69,19 @@ def test_tracer_sees_every_layer(capsys):
     _, _, calls = tracer.totals()
     for name in SPANS:
         assert calls.get(name, 0) > 0, name
+
+
+def test_packed_product_is_counted():
+    # 900 term products over 59 slots: far above the packed kernel's
+    # threshold, so the product bypasses the term loop but not the tracer.
+    dense = ring.LaurentPoly({e: e * e + 1 for e in range(-10, 20)}, nvars=1)
+    terms = dict(dense.items())
+    assert ring._mul_packed(terms, terms, 1) is not None
+    tracer = tracing.Tracer().install()
+    try:
+        dense * dense
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["ring.poly_mul.calls"] == 1
+    assert metrics["ring.poly_mul.term_products"] == 30 * 30

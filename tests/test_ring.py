@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hopfly.ring as ring
+from hopfly.hopf import eval_unknot, hopf_invariant
+from hopfly.partitions import Partition
 from hopfly.ring import (
     LaurentPoly,
     RingElem,
@@ -297,3 +299,120 @@ class TestDeterminant:
         row = [P2.constant(1), P2.constant(2), P2.constant(3)]
         m = [row, row, [P2.constant(4), P2.constant(5), P2.constant(6)]]
         assert _det_bareiss(m).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# the packed (Kronecker substitution) multiply against the term loop
+
+NEVER_PACK = 10 ** 18
+
+
+def both_kernels(a, b):
+    """a * b with every product packed, then with none packed."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring, "_PACKED_MIN_PRODUCTS_PER_SLOT", 0)
+        packed = a * b
+        mp.setattr(ring, "_PACKED_MIN_PRODUCTS_PER_SLOT", NEVER_PACK)
+        looped = a * b
+    return packed, looped
+
+
+def packed_calls(monkeypatch):
+    """Record, per product, whether the packed kernel computed it."""
+    calls = []
+    real = ring._mul_packed
+
+    def spy(a, b, nvars):
+        out = real(a, b, nvars)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(ring, "_mul_packed", spy)
+    return calls
+
+
+@st.composite
+def boxed_poly(draw, nvars):
+    """Up to 12 terms in a box of side <= 5 at a random, possibly negative,
+    offset, with coefficients up to 3, 2**20, 2**64 or 2**100 in size."""
+    bound = 2 ** draw(st.sampled_from((2, 20, 64, 100)))
+    side = draw(st.integers(0, 4))
+    ov, os = draw(st.integers(-6, 6)), draw(st.integers(-6, 6))
+    terms = []
+    for _ in range(draw(st.integers(0, 12))):
+        es = os + draw(st.integers(0, side))
+        c = draw(st.integers(-bound, bound))
+        terms.append((es, c) if nvars == 1 else ((ov + draw(st.integers(0, side)), es), c))
+    return LaurentPoly(terms, nvars)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_packed_mul_matches_term_loop(data):
+    nvars = data.draw(st.sampled_from((1, 2)))
+    a, b = data.draw(boxed_poly(nvars)), data.draw(boxed_poly(nvars))
+    packed, looped = both_kernels(a, b)
+    assert packed.nvars == looped.nvars == nvars
+    assert dict(packed.items()) == dict(looped.items())
+
+
+def geometric_pair(x, y, c, n):
+    """(x - c*y) and sum_{i<n} c**i x**(n-1-i) y**i, whose product
+    x**n - c**n y**n cancels in every middle slot."""
+    tail = LaurentPoly.zero(x.nvars)
+    for i in range(n):
+        tail = tail + x ** (n - 1 - i) * y ** i * c ** i
+    return x - y * c, tail
+
+
+@pytest.mark.parametrize("c", (1, -3, 2 ** 12))
+def test_packed_mul_cancels_middle_slots(c):
+    for x, y in ((P1({1: 1}), P1({-2: 1})), (P2({(1, -1): 1}), P2({(-1, 2): 1}))):
+        a, b = geometric_pair(x, y, c, 10)
+        packed, looped = both_kernels(a, b)
+        assert packed == looped == x ** 10 - y ** 10 * c ** 10
+    for zero in (P1(), P2()):
+        one = LaurentPoly.one(zero.nvars)
+        assert all(p.is_zero() for p in both_kernels(zero, one) + both_kernels(one, zero))
+
+
+@pytest.mark.parametrize("na, nb, ca, cb", (
+    (7, 8, 151, 31),                       # 7 * 151 * 31 = 2**15 - 1: two-byte slots
+    (7, 8, 151, -31),
+    (8, 9, 64, 64),                        # 2**15: three-byte slots
+    (8, 9, -64, 64),
+    (7, 8, 7 * 73 * 127 * 337, 92737 * 649657),  # 2**63 - 1: eight-byte slots
+    (8, 8, 2 ** 30, -(2 ** 30)),           # 2**63: nine-byte slots, decoded one by one
+))
+def test_packed_mul_at_slot_width_bound(na, nb, ca, cb):
+    # Constant coefficients on consecutive exponents: the middle product
+    # coefficient sums min(na, nb) equal term products, so it reaches the
+    # bound max|a| * max|b| * min(na, nb) that fixes the slot width.
+    peak = ca * cb * min(na, nb)
+    for nvars, key in ((1, lambda e: e - 3), (2, lambda e: (e - 2, 1 - e))):
+        a = LaurentPoly({key(e): ca for e in range(na)}, nvars)
+        b = LaurentPoly({key(e): cb for e in range(nb)}, nvars)
+        packed, looped = both_kernels(a, b)
+        assert packed == looped
+        assert max(c for _, c in packed.items()) == max(peak, ca * cb)
+        assert min(c for _, c in packed.items()) == min(peak, ca * cb)
+
+
+def test_sparse_products_stay_on_term_loop(monkeypatch):
+    dense = eval_unknot(Partition((4, 3, 2, 1))).num
+    calls = packed_calls(monkeypatch)
+    ring._den_poly.__wrapped__(2, tuple(range(1, 9)))
+    ring._den_poly.__wrapped__(1, tuple(range(1, 9)))
+    P2.monomial(3, 1, -2) * dense
+    dense * P2.monomial(1, 0, 5)
+    assert calls and not any(calls)
+
+
+def test_ladder_size_product_is_packed(monkeypatch):
+    pairing = hopf_invariant(Partition((4, 3, 2, 1)), Partition((4, 2, 1))).value.num
+    unknot = eval_unknot(Partition((4, 3, 2, 1))).num
+    calls = packed_calls(monkeypatch)
+    product = pairing * unknot
+    assert calls == [True]
+    packed, looped = both_kernels(pairing, unknot)
+    assert product == looped

@@ -8,6 +8,7 @@ it, and sympy's answer is shifted back.
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hopfly.ring as ring
 from hopfly.ring import LaurentPoly
 
 sympy = pytest.importorskip("sympy")
@@ -65,6 +66,41 @@ def test_mul_matches_sympy(data):
     (pa, sa), (pb, sb) = to_sympy(a), to_sympy(b)
     shift = tuple(x + y for x, y in zip(sa, sb))
     assert exps(a * b) == from_sympy(pa * pb, shift)
+
+
+@st.composite
+def dense_laurent(draw, nvars):
+    """20 to 25 distinct terms in a 24-wide (one variable) or 5 x 5 (two
+    variables) exponent box, nonzero coefficients up to 2**80 in size: dense
+    enough that any product of two takes the packed kernel."""
+    box = ([(e,) for e in range(-12, 12)] if nvars == 1
+           else [(ev, es) for ev in range(-3, 2) for es in range(-1, 4)])
+    keys = draw(st.lists(st.sampled_from(box), min_size=20, max_size=25, unique=True))
+    big = 2 ** 80
+    coeffs = st.integers(-big, big).filter(bool)
+    return LaurentPoly({(k[0] if nvars == 1 else k): draw(coeffs) for k in keys}, nvars)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_dense_mul_is_packed_and_matches_sympy(data):
+    n = data.draw(arity)
+    a, b = data.draw(dense_laurent(n)), data.draw(dense_laurent(n))
+    calls = []
+    real = ring._mul_packed
+
+    def spy(x, y, nvars):
+        out = real(x, y, nvars)
+        calls.append(out is not None)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring, "_mul_packed", spy)
+        product = a * b
+    assert calls == [True]
+    (pa, sa), (pb, sb) = to_sympy(a), to_sympy(b)
+    shift = tuple(x + y for x, y in zip(sa, sb))
+    assert exps(product) == from_sympy(pa * pb, shift)
 
 
 @settings(max_examples=80, deadline=None)
