@@ -18,21 +18,26 @@ Kernels: two multiply and one divides.  A product of dense operands, with
 at least ``_PACKED_MIN_PRODUCTS_PER_SLOT`` term products per coefficient
 slot of the result, goes to ``_mul_packed`` (Kronecker substitution): each
 operand is packed into one Python int, the ints are multiplied, and the
-result is decoded once.  Every other product goes to the term loop
-``_addmul`` (acc += a * b), and exact division to ``_div_terms_1var``,
-both over int-keyed term dicts.  For those two, two-variable terms are
-keyed ``(e_v, e_s)`` and cut into v-slices ``{e_v: {e_s: c}}`` per call: a
-product multiplies slice pairs, and an exact quotient is long division in
-v, one slice division per step.  Values are stored as term dicts either
-way; packing lives only inside one multiply.
+result is decoded once.  When every term of each operand has one parity of
+e_v + e_s, as every Jacobi-Trudy entry does, only every other slot can be
+occupied, and the kernel packs those alone: both ints and the decode are
+half as long.  Every other product goes to the term loop ``_addmul``
+(acc += a * b), and exact division to ``_div_terms_1var``, one sweep down
+the dividend's exponents over a dense remainder list, both over int-keyed
+term dicts.  For those two, two-variable terms are keyed ``(e_v, e_s)`` and
+cut into v-slices ``{e_v: {e_s: c}}`` per call: a product multiplies slice
+pairs, and an exact quotient is long division in v, one slice division per
+step.  Values are stored as term dicts either way; packing lives only
+inside one multiply.
 
 Denominators: ``_lift`` rewrites a numerator over a larger bracket multiset,
-which is all that equality, addition and ``det_fractions`` need.
-``reduced`` is called only where brackets must cancel for printing: after
-the Jacobi-Trudy determinant and after ``substitute_v``.  Elsewhere the
-brackets left are needed (both decoration series are built as products
-whose coefficient k has denominator [1]...[k]), and trial divisions would
-all fail.
+which is all that equality, addition and ``det_fractions`` need; it
+multiplies by one bracket s**k - s**-k at a time, as a shift up minus a
+shift down.  ``reduced`` is called only where brackets must cancel for
+printing: after the Jacobi-Trudy determinant and after ``substitute_v``.
+Elsewhere the brackets left are needed (both decoration series are built
+as products whose coefficient k has denominator [1]...[k]), and trial
+divisions would all fail.
 
 Determinants: minor expansion, except that one-variable matrices above
 order ``_EXPANSION_MAX_ORDER`` (12) go to fraction-free Bareiss
@@ -40,10 +45,10 @@ elimination.  The sl(N) minor builds no N x N matrix, so two callers reach
 Bareiss: the one-variable Jacobi-Trudy matrix of a minor with
 min(lam_1, l(lam)) > 12, which needs |lam| >= 169, and the
 literal-determinant oracle of the ``bialternant`` verify check when
-``--max-n`` is above 12.  With the packed multiply, expansion is the
-faster on Jacobi-Trudy matrices up to order 16 and Bareiss on the literal
-oracle from order 9 on; one order bound cannot serve both, and 12 keeps
-the oracle fast (timings at the constant).
+``--max-n`` is above 12.  With the sweep division, expansion is the faster
+on Jacobi-Trudy matrices up to order 13 and Bareiss on the literal oracle
+from order 9 on; one order bound cannot serve both, and 12 keeps the
+oracle fast (timings at the constant).
 
 All values are immutable after construction and safe to share.
 """
@@ -54,6 +59,7 @@ import array
 import dataclasses
 import functools
 import itertools
+import operator
 import re
 import sys
 from collections import Counter
@@ -86,33 +92,40 @@ def _addmul(acc: dict, a: dict, b: dict) -> None:
 def _div_terms_1var(num: dict, den: dict) -> Optional[dict]:
     """Exact single-variable Laurent division of term dicts, or None.
 
-    Works top down by leading exponents; aborts as soon as either a
-    coefficient fails to divide or the candidate quotient exponent drops
-    below the only value it can take for an exact quotient.
+    One sweep down the exponents of num, from its top to the lowest place
+    where a quotient term can still lead: each nonzero remainder
+    coefficient there gives one quotient term, or proves non-divisibility
+    when the divisor's leading coefficient does not divide it.  Whatever
+    remains below the sweep is a remainder, so the division is not exact.
+    The remainder lives in a list over num's span, so the cost is
+    O(span + #quotient * #den).
     """
     if not num:
         return {}
     dmax = max(den)
     dc = den[dmax]
-    qmin = min(num) - min(den)
+    low = min(num)
+    # The quotient's lowest exponent is min(num) - min(den), so the lowest
+    # remainder place that can lead a quotient term is that plus dmax.
+    stop = dmax - min(den)
+    rem = [0] * (max(num) - low + 1)
+    for e, c in num.items():
+        rem[e - low] = c
+    # A place the sweep has passed is never read again, so subtracting the
+    # divisor's leading term, which only clears that place, is skipped.
+    tail = [(e - dmax, c) for e, c in den.items() if e != dmax]
+    qshift = low - dmax
     quo: dict = {}
-    rem = dict(num)
-    while rem:
-        rmax = max(rem)
-        rc = rem[rmax]
-        qe = rmax - dmax
-        if qe < qmin or rc % dc:
-            return None
-        qc = rc // dc
-        quo[qe] = qc
-        for e, c in den.items():
-            k = qe + e
-            nc = rem.get(k, 0) - qc * c
-            if nc:
-                rem[k] = nc
-            elif k in rem:
-                del rem[k]
-    return quo
+    for i in range(len(rem) - 1, stop - 1, -1):
+        rc = rem[i]
+        if rc:
+            qc, r = divmod(rc, dc)
+            if r:
+                return None
+            quo[i + qshift] = qc
+            for j, c in tail:
+                rem[i + j] -= qc * c
+    return None if any(rem[:stop]) else quo
 
 
 def _slices(terms: dict) -> dict:
@@ -166,17 +179,20 @@ def _div_terms_2var(num: dict, den: dict) -> Optional[dict]:
 # the packed (Kronecker substitution) multiply for dense operands
 
 
-# Least number of term products per slot of the packed product at which
-# ``_mul_packed`` replaces the term loop.  Replaying the operands of every
-# product of each default-seed benchmark workload (Python 3.11.7, shared
-# 2-vCPU host, one process, medians of 5): ladder's 837 products took
-# 4.15 s on the term loop alone and 0.90 s at this threshold (79 packed);
-# verify's 51,227 took 2.39 and 2.45 s (22 packed); sln's 14,675 took
-# 0.171 and 0.128 s (61 packed).  Thresholds 1 and 2 timed the same within
-# the noise, and 8 cost ladder 20 %.  Packing every product made verify
-# 1.3x and sln 1.6x slower: sparse bracket products leave most slots
-# empty, and the slots cost more than the term products they replace.
-_PACKED_MIN_PRODUCTS_PER_SLOT = 4
+# Least number of term products per slot of the packed product (counting
+# halved slots when both operands have one parity) at which ``_mul_packed``
+# replaces the term loop.  Each product of each default-seed benchmark
+# workload was timed on both kernels (replayed operands, best of 5 per
+# product, Python 3.11.7, shared 2-vCPU host), and each threshold charged
+# the kernel it picks.  Against the term loop alone, thresholds 1, 2, 3, 4
+# and 6 saved 3.11, 3.11, 3.10, 3.10 and 3.09 s of ladder's 3.47 s;
+# -0.075, 0.036, 0.036, 0.036 and 0.032 s of sln's 0.112 s; and 0.19, 0.34,
+# 0.21, 0.10 and 0.02 s of verify's 1.97 s.  Verify's bracket products of a
+# few hundred to a few thousand term products already run about twice as
+# fast packed at 2 to 4 products per slot; at 1, products of under about
+# 100 term products get packed too, and there the packing's fixed cost of
+# some 25 us exceeds the term loop.
+_PACKED_MIN_PRODUCTS_PER_SLOT = 2
 
 # Translation table from the top byte of a two's-complement slot to the
 # byte that sign-extends it.
@@ -221,42 +237,61 @@ def _unpack(p: int, w: int, n: int) -> list:
     return slots.tolist()
 
 
+def _one_parity(keys: list) -> bool:
+    """Whether every key has the parity of the first."""
+    return not (functools.reduce(operator.or_, keys) ^ functools.reduce(operator.and_, keys)) & 1
+
+
 def _mul_packed(a: dict, b: dict, nvars: int) -> Optional[dict]:
     """a * b for term dicts of either arity by Kronecker substitution, or
     None when the operands are too sparse for it to pay.
 
     Each operand, shifted to exponents >= 0, becomes one integer with a
     slot of w bytes per exponent (per (e_v, e_s) pair, s varying fastest
-    with the product's s-span as stride); one integer product and one
-    decode give every coefficient.  A product coefficient sums at most
-    min(#a, #b) term products, which bounds it and so fixes w.
+    with an odd stride above the product's s-span); one integer product
+    and one decode give every coefficient.  When each operand's slot
+    indices share one parity, which the odd stride makes true whenever
+    e_v + e_s does, slot k is packed at k >> 1: the two integers and the
+    decode are halved, and product slot i is index 2i + p_a + p_b.  A
+    product coefficient sums at most min(#a, #b) term products, which
+    bounds it and so fixes w.
     """
     na, nb = len(a), len(b)
-    # A product has at least na + nb - 1 slots: skip the layout when even
-    # that many would be too sparse.
-    if not (na and nb) or na * nb < _PACKED_MIN_PRODUCTS_PER_SLOT * (na + nb - 1):
+    per_slot = _PACKED_MIN_PRODUCTS_PER_SLOT
+    # A product has at least na + nb - 1 slots, even halved: skip the
+    # layout when even that many would be too sparse.  Then reject on the
+    # (n + 1) // 2 slots of a halved product of the exponent box, before
+    # any key list or parity scan.
+    if not (na and nb) or na * nb < per_slot * (na + nb - 1):
         return None
     if nvars == 1:
         a0, b0 = min(a), min(b)
         n = max(a) - a0 + max(b) - b0 + 1
-        if na * nb < _PACKED_MIN_PRODUCTS_PER_SLOT * n:
+        if na * nb < per_slot * ((n + 1) // 2):
             return None
         keys = range(a0 + b0, a0 + b0 + n)
         ka = [e - a0 for e in a]
         kb = [e - b0 for e in b]
     else:
-        sa = [es for _, es in a]
-        sb = [es for _, es in b]
-        (va, _), (vtop_a, _), sa0 = min(a), max(a), min(sa)
-        (vb, _), (vtop_b, _), sb0 = min(b), max(b), min(sb)
-        stride = max(sa) - sa0 + max(sb) - sb0 + 1
-        n = (vtop_a - va + vtop_b - vb + 1) * stride
-        if na * nb < _PACKED_MIN_PRODUCTS_PER_SLOT * n:
+        va_all, sa_all = zip(*a)
+        vb_all, sb_all = zip(*b)
+        va, vb, sa0, sb0 = min(va_all), min(vb_all), min(sa_all), min(sb_all)
+        stride = (max(sa_all) - sa0 + max(sb_all) - sb0 + 1) | 1
+        rows = max(va_all) - va + max(vb_all) - vb + 1
+        n = rows * stride
+        if na * nb < per_slot * ((n + 1) // 2):
             return None
-        keys = itertools.product(range(va + vb, vtop_a + vtop_b + 1),
+        keys = itertools.product(range(va + vb, va + vb + rows),
                                  range(sa0 + sb0, sa0 + sb0 + stride))
         ka = [(ev - va) * stride + es - sa0 for ev, es in a]
         kb = [(ev - vb) * stride + es - sb0 for ev, es in b]
+    if _one_parity(ka) and _one_parity(kb):
+        keys = itertools.islice(keys, (ka[0] & 1) + (kb[0] & 1), None, 2)
+        ka = [k >> 1 for k in ka]
+        kb = [k >> 1 for k in kb]
+        n = (n + 1) // 2
+    elif na * nb < per_slot * n:
+        return None
     bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(na, nb)
     w = bound.bit_length() // 8 + 1
     coeffs = _unpack(_pack(ka, a.values(), w) * _pack(kb, b.values(), w), w, n)
@@ -456,12 +491,39 @@ def _den_poly(nvars: int, den: tuple[int, ...]) -> LaurentPoly:
     return out
 
 
+def _times_bracket(terms: dict, k: int, nvars: int) -> dict:
+    """terms * (s**k - s**-k), by one shift up and one shift down."""
+    # One loop per arity: a shared generator of shifted keys made the lifts
+    # of a verify pass about 15 % slower.
+    items = terms.items()
+    if nvars == 1:
+        out = {e + k: c for e, c in items}
+        for e, c in items:
+            e -= k
+            nc = out.get(e, 0) - c
+            if nc:
+                out[e] = nc
+            else:
+                del out[e]
+    else:
+        out = {(ev, es + k): c for (ev, es), c in items}
+        for (ev, es), c in items:
+            e = (ev, es - k)
+            nc = out.get(e, 0) - c
+            if nc:
+                out[e] = nc
+            else:
+                del out[e]
+    return out
+
+
 def _lift(x: "RingElem", den: Counter) -> LaurentPoly:
-    """Numerator of x over the bracket multiset den, which contains x.den."""
-    extra = den - Counter(x.den)
-    if not extra:
-        return x.num
-    return x.num * _den_poly(x.num.nvars, tuple(sorted(extra.elements())))
+    """Numerator of x over the bracket multiset den, which contains x.den:
+    x.num times each extra bracket in turn, O(#num) per bracket."""
+    num = x.num
+    for k in (den - Counter(x.den)).elements():
+        num = _from_terms(_times_bracket(num._terms, k, num.nvars), num.nvars)
+    return num
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -579,19 +641,20 @@ class RingElem:
 # over above it.  The one-variable matrices above order 12 are the
 # Jacobi-Trudy matrix of an sl(N) minor with min(lam_1, l(lam)) > 12, so
 # |lam| >= 169, and the literal minor in the ``bialternant`` verify check
-# at --max-n > 12.  The two cross over at different orders.  On the
-# order-k e-form Jacobi-Trudy matrix of lam = (k) at N = k, expansion
-# against Bareiss took 0.10 against 0.28 s at k = 12, 0.16 against 0.44 s
-# at 13, 1.4 against 1.7 s at 16, 3.6 against 3.4 s at 17 and 32 against
-# 9.0 s at 20.  On the literal N x N matrix of (q**(i*j)) they took 0.04
-# against 0.03 s at N = 9, 0.98 against 0.33 s at 12 and 2.7 against
-# 0.56 s at 13 (Python 3.11.7, shared 2-vCPU host, packed multiply).  So
-# 12 is kept: raising it to the Jacobi-Trudy crossover would make the
-# oracle 5x slower at --max-n 13 to gain at most 3x on minors that need
-# |lam| >= 169.  Two-variable matrices always expand: on the order-6
-# Jacobi-Trudy matrix of the staircase pairing (6,5,4,3,2,1)^2, Bareiss
-# took 97 s against 3.6 s for expansion (Python 3.11, Xeon, one core,
-# term-loop multiply).
+# at --max-n > 12.  Bareiss does one exact division per entry, so it gains
+# most from the sweep division, but the two families still cross over at
+# different orders.  On the order-k e-form Jacobi-Trudy matrix of lam = (k)
+# at N = k, expansion against Bareiss took 0.20 against 0.30 s at k = 13,
+# 0.28 against 0.26 s at 14, 0.82 against 0.52 s at 15, 1.9 against 1.1 s
+# at 16, 4.0 against 1.5 s at 17 and 30 against 3.8 s at 20.  On the
+# literal N x N matrix of (q**(i*j)) they took 0.04 against 0.02 s at
+# N = 9, 0.78 against 0.17 s at 12 and 2.9 against 0.29 s at 13 (Python
+# 3.11.7, shared 2-vCPU host).  So 12 is kept: the Jacobi-Trudy crossover
+# is now 14, and raising the bound to it would make the oracle 10x slower
+# at --max-n 13 to gain 1.5x on minors that need |lam| >= 169.
+# Two-variable matrices always expand: on the order-6 Jacobi-Trudy matrix
+# of the staircase pairing (6,5,4,3,2,1)^2, Bareiss took 97 s against
+# 3.6 s for expansion (Python 3.11, Xeon, one core, term-loop multiply).
 _EXPANSION_MAX_ORDER = 12
 
 

@@ -85,3 +85,33 @@ def test_packed_product_is_counted():
     metrics = tracer.layer_metrics()
     assert metrics["ring.poly_mul.calls"] == 1
     assert metrics["ring.poly_mul.term_products"] == 30 * 30
+
+
+def test_halved_product_and_sweep_division_are_counted(monkeypatch):
+    # Even exponents only: the packed product decodes the 59 even slots of
+    # its 117-slot exponent box, and divisions run the sweep.
+    dense = ring.LaurentPoly({2 * e: e * e + 1 for e in range(-10, 20)}, nvars=1)
+    slots = []
+    real = ring._unpack
+
+    def spy(p, w, n):
+        slots.append(n)
+        return real(p, w, n)
+
+    monkeypatch.setattr(ring, "_unpack", spy)
+    square = dense * dense
+    assert slots == [59]
+    bumped = square + 1
+    tracer = tracing.Tracer().install()
+    try:
+        product = dense * dense
+        quotient = square.exact_div(dense)
+        failed = bumped.exact_div(dense)
+    finally:
+        tracer.uninstall()
+    assert product == square and quotient == dense and failed is None
+    metrics = tracer.layer_metrics()
+    assert metrics["ring.poly_mul.calls"] == 1
+    assert metrics["ring.poly_mul.term_products"] == 30 * 30
+    assert metrics["ring.exact_div.calls"] == 2
+    assert metrics["ring.exact_div.failed"] == 1

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -416,3 +418,210 @@ def test_ladder_size_product_is_packed(monkeypatch):
     assert calls == [True]
     packed, looped = both_kernels(pairing, unknot)
     assert product == looped
+
+
+# ---------------------------------------------------------------------------
+# parity-halved packed products
+
+
+def decoded_slots(mp):
+    """Record the slot count of every packed product's decode."""
+    seen = []
+    real = ring._unpack
+
+    def spy(p, w, n):
+        seen.append(n)
+        return real(p, w, n)
+
+    mp.setattr(ring, "_unpack", spy)
+    return seen
+
+
+def full_layout_slots(a, b):
+    """Slots of the unhalved layout: the product's exponent box, with s
+    varying fastest at an odd stride in two variables."""
+    ea, eb = list(dict(a.items())), list(dict(b.items()))
+    if a.nvars == 1:
+        return max(ea) - min(ea) + max(eb) - min(eb) + 1
+    span = [max(e[i] for e in keys) - min(e[i] for e in keys) for keys in (ea, eb) for i in (0, 1)]
+    return (span[0] + span[2] + 1) * ((span[1] + span[3] + 1) | 1)
+
+
+@st.composite
+def one_parity_poly(draw, nvars, parity):
+    """1 to 12 terms with e_v + e_s of the given parity (e_v = 0 in one
+    variable), in a box at a random offset of either parity, coefficients
+    up to 2**70 in size."""
+    ov, os = draw(st.integers(-7, 7)), draw(st.integers(-7, 7))
+    terms = []
+    for _ in range(draw(st.integers(1, 12))):
+        ev = 0 if nvars == 1 else ov + draw(st.integers(0, 4))
+        es = os + draw(st.integers(0, 8))
+        es += (ev + es + parity) % 2
+        c = draw(st.integers(-2 ** 70, 2 ** 70).filter(bool))
+        terms.append((es if nvars == 1 else (ev, es), c))
+    return LaurentPoly(terms, nvars)
+
+
+@st.composite
+def mixed_parity_poly(draw, nvars):
+    """A one-parity polynomial plus one term of the other parity."""
+    parity = draw(st.integers(0, 1))
+    p = draw(one_parity_poly(nvars, parity))
+    es = 2 * draw(st.integers(-5, 5)) + 1 - parity
+    return p + LaurentPoly.monomial(draw(st.integers(-3, 3).filter(bool)), s=es, nvars=nvars)
+
+
+def packed_layout(a, b):
+    """a * b packed and looped, and the slot counts the packed decode used."""
+    with pytest.MonkeyPatch.context() as mp:
+        slots = decoded_slots(mp)
+        packed, looped = both_kernels(a, b)
+    assert dict(packed.items()) == dict(looped.items())
+    return slots
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_parity_products_take_halved_layout(data):
+    nvars = data.draw(st.sampled_from((1, 2)))
+    a = data.draw(one_parity_poly(nvars, data.draw(st.integers(0, 1))).filter(bool))
+    b = data.draw(one_parity_poly(nvars, data.draw(st.integers(0, 1))).filter(bool))
+    assert packed_layout(a, b) == [(full_layout_slots(a, b) + 1) // 2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mixed_parity_products_take_full_layout(data):
+    nvars = data.draw(st.sampled_from((1, 2)))
+    a = data.draw(mixed_parity_poly(nvars))
+    b = data.draw(st.one_of(mixed_parity_poly(nvars),
+                            one_parity_poly(nvars, data.draw(st.integers(0, 1)))).filter(bool))
+    a, b = data.draw(st.permutations((a, b)))
+    assert packed_layout(a, b) == [full_layout_slots(a, b)]
+
+
+# ---------------------------------------------------------------------------
+# the sweep division against the division loop it replaced
+
+
+def div_by_max_rem(num: dict, den: dict):
+    """Top term by top term, one max(rem) scan per quotient term: the
+    one-variable division loop before the sweep, kept as its oracle."""
+    if not num:
+        return {}
+    dmax = max(den)
+    dc = den[dmax]
+    qmin = min(num) - min(den)
+    quo: dict = {}
+    rem = dict(num)
+    while rem:
+        rmax = max(rem)
+        rc = rem[rmax]
+        qe = rmax - dmax
+        if qe < qmin or rc % dc:
+            return None
+        qc = rc // dc
+        quo[qe] = qc
+        for e, c in den.items():
+            k = qe + e
+            nc = rem.get(k, 0) - qc * c
+            if nc:
+                rem[k] = nc
+            elif k in rem:
+                del rem[k]
+    return quo
+
+
+@st.composite
+def division_case(draw, nvars):
+    """(dividend, divisor): a quotient of up to 150 terms over a span of up
+    to 600 (two variables: 3 v-rows), possibly negative, times a divisor
+    of 1 to 5 terms, then left exact or bumped by one term: at a random
+    exponent, or (one variable) strictly between the dividend's lowest
+    exponent and the lowest place the sweep visits."""
+    low = draw(st.integers(-400, 100))
+    span = draw(st.integers(0, 600))
+    key = (lambda ev, es: es) if nvars == 1 else (lambda ev, es: (ev, es))
+    rows = 1 if nvars == 1 else 3
+    quo = LaurentPoly({key(draw(st.integers(0, rows - 1)), draw(st.integers(low, low + span))):
+                       draw(st.integers(-50, 50))
+                       for _ in range(draw(st.integers(1, 150)))}, nvars)
+    den = LaurentPoly({key(draw(st.integers(0, rows - 1)), draw(st.integers(-4, 4))):
+                       draw(st.sampled_from((1, -1, 2, -3)))
+                       for _ in range(draw(st.integers(1, 5)))}, nvars)
+    num = quo * den
+    bump = draw(st.sampled_from(("none", "anywhere", "below")))
+    if bump == "none" or not num:
+        return num, den
+    c = draw(st.integers(-5, 5).filter(bool))
+    if nvars == 1 and bump == "below":
+        es, ds = list(dict(num.items())), list(dict(den.items()))
+        gap = max(ds) - min(ds)
+        if gap < 2:
+            return num, den
+        e = min(es) + draw(st.integers(1, gap - 1))
+    else:
+        e = key(draw(st.integers(-1, rows)), draw(st.integers(low - 6, low + span + 6)))
+    return num + LaurentPoly({e: c}, nvars), den
+
+
+@settings(max_examples=150, deadline=None)
+@given(division_case(1))
+def test_sweep_division_matches_max_rem_oracle(case):
+    num, den = case
+    got = ring._div_terms_1var(dict(num.items()), dict(den.items()))
+    assert got == div_by_max_rem(dict(num.items()), dict(den.items()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(division_case(2))
+def test_two_variable_division_matches_max_rem_oracle(case):
+    num, den = case
+    got = ring._div_terms_2var(dict(num.items()), dict(den.items()))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring, "_div_terms_1var", div_by_max_rem)
+        expected = ring._div_terms_2var(dict(num.items()), dict(den.items()))
+    assert got == expected
+
+
+def test_remainder_only_below_the_sweep_is_not_exact():
+    # 121 quotient terms times a divisor of span 6; one bump just above the
+    # dividend's lowest exponent lies below every place the sweep visits.
+    den = P1({3: 2, 0: 1, -3: -1})
+    num = dict((P1({e: 1 for e in range(-60, 61)}) * den).items())
+    assert len(num) >= 100
+    assert ring._div_terms_1var(num, dict(den.items())) is not None
+    num[-62] = num.get(-62, 0) + 1
+    assert ring._div_terms_1var(num, dict(den.items())) is None
+    assert div_by_max_rem(num, dict(den.items())) is None
+
+
+def test_one_term_divisor_shifts_and_scales():
+    num = {e: 6 * e for e in range(-150, 151, 3) if e}
+    assert ring._div_terms_1var(num, {-7: 3}) == {e + 7: 2 * e for e in num}
+    assert ring._div_terms_1var(num, {4: 4}) is None
+
+
+# ---------------------------------------------------------------------------
+# lifting a numerator over extra brackets
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lift_is_multiplication_by_the_extra_brackets(data):
+    nvars = data.draw(st.sampled_from((1, 2)))
+    num = data.draw(boxed_poly(nvars))
+    have = data.draw(st.lists(st.integers(1, 4), max_size=3))
+    extra = data.draw(st.lists(st.integers(1, 3), max_size=5))
+    x = RingElem(num, tuple(have))
+    lifted = ring._lift(x, Counter(x.den) + Counter(extra))
+    assert lifted.nvars == nvars
+    assert lifted == num * ring._den_poly(nvars, tuple(sorted(extra)))
+
+
+def test_lift_by_a_repeated_bracket():
+    for nvars in (1, 2):
+        num = LaurentPoly.monomial(3, s=1, nvars=nvars) - LaurentPoly.one(nvars)
+        lifted = ring._lift(RingElem(num, (1,)), Counter((1, 2, 2, 2)))
+        assert lifted == num * LaurentPoly.quantum_bracket(2, nvars) ** 3

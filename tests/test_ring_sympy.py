@@ -6,7 +6,7 @@ it, and sympy's answer is shifted back.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import hopfly.ring as ring
 from hopfly.ring import LaurentPoly
@@ -130,12 +130,18 @@ def test_exact_div_agrees_with_sympy(data):
     n = data.draw(arity)
     s_only = data.draw(st.booleans())
     b = data.draw(nonzero(laurent(n, s_only=s_only, max_terms=3, max_exp=2, max_coeff=3)))
-    # Mix true multiples with arbitrary dividends so both verdicts occur.
-    if data.draw(st.booleans()):
-        a = b * data.draw(laurent(n, max_terms=3, max_exp=2, max_coeff=3))
-        a = a + data.draw(laurent(n, max_terms=1, max_exp=2, max_coeff=2))
-    else:
+    # Mix true multiples with arbitrary dividends so both verdicts occur;
+    # a dense cofactor gives dividends of at least 20 terms.
+    kind = data.draw(st.sampled_from(("multiple", "dense", "arbitrary")))
+    if kind == "arbitrary":
         a = data.draw(laurent(n))
+    else:
+        cofactor = (dense_laurent(n) if kind == "dense"
+                    else laurent(n, max_terms=3, max_exp=2, max_coeff=3))
+        a = b * data.draw(cofactor)
+        a = a + data.draw(laurent(n, max_terms=1, max_exp=2, max_coeff=2))
+        if kind == "dense":
+            assume(len(a.items()) >= 20)
     got = a.exact_div(b)
     if a.is_zero():
         assert got is not None and got.is_zero()
