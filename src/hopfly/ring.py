@@ -30,25 +30,18 @@ pairs, and an exact quotient is long division in v, one slice division per
 step.  Values are stored as term dicts either way; packing lives only
 inside one multiply.
 
-Denominators: ``_lift`` rewrites a numerator over a larger bracket multiset,
-which is all that equality, addition and ``det_fractions`` need; it
-multiplies by one bracket s**k - s**-k at a time, as a shift up minus a
-shift down.  ``reduced`` is called only where brackets must cancel for
-printing: after the Jacobi-Trudy determinant and after ``substitute_v``.
-Elsewhere the brackets left are needed (both decoration series are built
-as products whose coefficient k has denominator [1]...[k]), and trial
-divisions would all fail.
+Denominators: ``_lift`` rewrites a numerator over a larger bracket
+multiset, which is all that equality, addition, ``den_poly`` and
+``det_fractions`` need; it multiplies by one bracket s**k - s**-k at a
+time, as a shift up minus a shift down.  ``reduced`` is called only where
+brackets must cancel for printing: after the Jacobi-Trudy determinant and
+after ``substitute_v``.  Elsewhere the brackets left are needed (both
+decoration series are built as products whose coefficient k has denominator
+[1]...[k]), and trial divisions would all fail.
 
-Determinants: minor expansion, except that one-variable matrices above
-order ``_EXPANSION_MAX_ORDER`` (12) go to fraction-free Bareiss
-elimination.  The sl(N) minor builds no N x N matrix, so two callers reach
-Bareiss: the one-variable Jacobi-Trudy matrix of a minor with
-min(lam_1, l(lam)) > 12, which needs |lam| >= 169, and the
-literal-determinant oracle of the ``bialternant`` verify check when
-``--max-n`` is above 12.  With the sweep division, expansion is the faster
-on Jacobi-Trudy matrices up to order 13 and Bareiss on the literal oracle
-from order 9 on; one order bound cannot serve both, and 12 keeps the
-oracle fast (timings at the constant).
+Determinants: memoised minor expansion on the column set, for every matrix
+the library builds.  Fraction-free Bareiss elimination (``_det_bareiss``)
+is kept only as the independent oracle of the ``bialternant`` verify check.
 
 All values are immutable after construction and safe to share.
 """
@@ -394,7 +387,7 @@ class LaurentPoly:
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self._terms.items()}, self.nvars)
+        return _from_terms({e: -c for e, c in self._terms.items()}, self.nvars)
 
     def __add__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -424,7 +417,7 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly.zero(self.nvars)
-            return LaurentPoly({e: c * other for e, c in self._terms.items()}, self.nvars)
+            return _from_terms({e: c * other for e, c in self._terms.items()}, self.nvars)
         if not isinstance(other, LaurentPoly) or other.nvars != self.nvars:
             return NotImplemented
         data = _mul_packed(self._terms, other._terms, self.nvars)
@@ -481,14 +474,6 @@ class LaurentPoly:
 
 # ---------------------------------------------------------------------------
 # fractions with structural quantum-bracket denominators
-
-
-@functools.lru_cache(maxsize=None)
-def _den_poly(nvars: int, den: tuple[int, ...]) -> LaurentPoly:
-    out = LaurentPoly.one(nvars)
-    for k in den:
-        out = out * LaurentPoly.quantum_bracket(k, nvars)
-    return out
 
 
 def _times_bracket(terms: dict, k: int, nvars: int) -> dict:
@@ -559,8 +544,9 @@ class RingElem:
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 
-    def den_poly(self):
-        return _den_poly(self.num.nvars, self.den)
+    def den_poly(self) -> LaurentPoly:
+        """The denominator prod(s**k - s**-k) as a Laurent polynomial."""
+        return _lift(RingElem(LaurentPoly.one(self.num.nvars)), Counter(self.den))
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -637,41 +623,16 @@ class RingElem:
 # determinants of exact matrices
 
 
-# Largest order of a one-variable matrix expanded by minors; Bareiss takes
-# over above it.  The one-variable matrices above order 12 are the
-# Jacobi-Trudy matrix of an sl(N) minor with min(lam_1, l(lam)) > 12, so
-# |lam| >= 169, and the literal minor in the ``bialternant`` verify check
-# at --max-n > 12.  Bareiss does one exact division per entry, so it gains
-# most from the sweep division, but the two families still cross over at
-# different orders.  On the order-k e-form Jacobi-Trudy matrix of lam = (k)
-# at N = k, expansion against Bareiss took 0.20 against 0.30 s at k = 13,
-# 0.28 against 0.26 s at 14, 0.82 against 0.52 s at 15, 1.9 against 1.1 s
-# at 16, 4.0 against 1.5 s at 17 and 30 against 3.8 s at 20.  On the
-# literal N x N matrix of (q**(i*j)) they took 0.04 against 0.02 s at
-# N = 9, 0.78 against 0.17 s at 12 and 2.9 against 0.29 s at 13 (Python
-# 3.11.7, shared 2-vCPU host).  So 12 is kept: the Jacobi-Trudy crossover
-# is now 14, and raising the bound to it would make the oracle 10x slower
-# at --max-n 13 to gain 1.5x on minors that need |lam| >= 169.
-# Two-variable matrices always expand: on the order-6 Jacobi-Trudy matrix
-# of the staircase pairing (6,5,4,3,2,1)^2, Bareiss took 97 s against
-# 3.6 s for expansion (Python 3.11, Xeon, one core, term-loop multiply).
-_EXPANSION_MAX_ORDER = 12
-
-
 def determinant(matrix: Sequence[Sequence]):
     """Determinant of a square matrix of Laurent polynomials.
 
-    Minor expansion with memoisation on the column set, or fraction-free
-    Bareiss elimination for one-variable matrices of order above
-    ``_EXPANSION_MAX_ORDER``; both are exact.
+    Minor expansion with memoisation on the column set.
     """
     n = len(matrix)
     if n == 0:
         raise ValueError("empty matrix has no well-defined entry type")
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    if n > _EXPANSION_MAX_ORDER and matrix[0][0].nvars == 1:
-        return _det_bareiss(matrix)
     return _det_expansion(matrix)
 
 
@@ -704,6 +665,8 @@ def _det_expansion(matrix):
 
 
 def _det_bareiss(matrix):
+    """Fraction-free Bareiss elimination: the reference determinant that
+    the ``bialternant`` verify check and the tests compare against."""
     n = len(matrix)
     nvars = matrix[0][0].nvars
     m = [list(row) for row in matrix]

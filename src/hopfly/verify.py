@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Iterable
 
-from .ring import LaurentPoly, RingElem, determinant
+from .ring import LaurentPoly, RingElem, _det_bareiss
 from .partitions import (
     EMPTY,
     Partition,
@@ -253,8 +253,9 @@ def check_minor_symmetry(max_size: int = 4, max_n: int = 4) -> CheckResult:
 
 def _literal_minor(lam: Partition, mu: Partition, n: int) -> LaurentPoly:
     """The minor of (q**(i*j)) on rows index_set(mu, n) and columns
-    index_set(lam, n), expanded as an N x N determinant."""
-    return determinant([
+    index_set(lam, n), as an N x N determinant by Bareiss elimination, which
+    no library value goes through, so it is independent of ``determinant``."""
+    return _det_bareiss([
         [LaurentPoly.monomial(1, s=2 * i * j, nvars=1) for j in lam.index_set(n)]
         for i in mu.index_set(n)
     ])
@@ -262,7 +263,12 @@ def _literal_minor(lam: Partition, mu: Partition, n: int) -> LaurentPoly:
 
 def check_minor_bialternant(max_size: int = 4, max_n: int = 4) -> CheckResult:
     """The bialternant factorisation Delta(x) * s_lam(x) that
-    ``vandermonde_minor`` computes equals the literal N x N determinant."""
+    ``vandermonde_minor`` computes equals the literal N x N determinant.
+
+    The factorised side takes one Jacobi-Trudy determinant by memoised minor
+    expansion, the library's only determinant algorithm; the literal side is
+    computed by fraction-free Bareiss elimination, used nowhere else.
+    """
     bad = []
     for lam, mu in _all_pairs(max_size):
         for n in range(max(lam.length, mu.length, 1), max_n + 1):

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hopfly.ring as ring
+import hopfly.verify as verify
 from hopfly.hopf import eval_unknot, hopf_invariant
 from hopfly.partitions import Partition
+from hopfly.sln import vandermonde_minor
 from hopfly.ring import (
     LaurentPoly,
     RingElem,
@@ -271,28 +273,44 @@ class TestDeterminant:
         m = [[P2.constant(a) for a in row] for row in ((2, 3), (1, 4))]
         assert determinant(m) == P2.constant(5)
 
-    def test_bareiss_agrees_with_expansion(self):
-        # Deterministic pseudo-random 4x4 matrix, forced down both paths.
-        entries = [
-            [P2({(i % 2, (i + j) % 3 - 1): (i * 5 + j * 3) % 7 - 3}) for j in range(4)]
-            for i in range(4)
-        ]
-        by_expansion = _det_expansion(entries)
-        by_bareiss = _det_bareiss(entries)
-        assert by_expansion == by_bareiss
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bareiss_agrees_with_expansion(self, data):
+        # Bareiss computes the literal minor that verify's bialternant check
+        # compares with the library, so it is checked here on random
+        # matrices of either arity, with zero entries (pivot swaps) and with
+        # one row a multiple of another (singular).
+        nvars = data.draw(st.sampled_from((1, 2)))
+        order = data.draw(st.integers(1, 5))
+        rows = [[data.draw(boxed_poly(nvars)) for _ in range(order)] for _ in range(order)]
+        singular = order > 1 and data.draw(st.booleans())
+        if singular:
+            i, j = data.draw(st.permutations(range(order)))[:2]
+            factor = data.draw(boxed_poly(nvars))
+            rows[j] = [factor * x for x in rows[i]]
+        by_bareiss = _det_bareiss(rows)
+        assert by_bareiss == _det_expansion(rows)
+        if singular:
+            assert by_bareiss.is_zero()
 
-    def test_two_variable_matrix_above_threshold_expands(self, monkeypatch):
-        # Upper triangular, so the determinant is the diagonal product; the
-        # zeros below the diagonal keep the expansion cheap at order 13.
+    @pytest.mark.parametrize("nvars", (1, 2))
+    def test_determinant_never_runs_bareiss(self, monkeypatch, nvars):
+        # Order 13 was above the old expansion bound for one-variable
+        # matrices.  Upper triangular, so the determinant is the diagonal
+        # product; the zeros below the diagonal keep the expansion cheap.
         def refuse(matrix):
-            raise AssertionError("two-variable matrix sent to Bareiss")
+            raise AssertionError(f"order-{len(matrix)} matrix sent to Bareiss")
 
         monkeypatch.setattr(ring, "_det_bareiss", refuse)
         order = 13
-        diagonal = [P2({(0, 0): 1, (1, i): -1}) for i in range(order)]
-        m = [[diagonal[i] if i == j else P2({(j % 2, i - j): 1}) if j > i else P2.zero()
+        v = nvars - 1
+        diagonal = [LaurentPoly.one(nvars) - LaurentPoly.monomial(1, v=v, s=i, nvars=nvars)
+                    for i in range(order)]
+        m = [[diagonal[i] if i == j
+              else LaurentPoly.monomial(1, v=v * (j % 2), s=i - j, nvars=nvars) if j > i
+              else LaurentPoly.zero(nvars)
               for j in range(order)] for i in range(order)]
-        expected = P2.one()
+        expected = LaurentPoly.one(nvars)
         for d in diagonal:
             expected = expected * d
         assert determinant(m) == expected
@@ -301,6 +319,24 @@ class TestDeterminant:
         row = [P2.constant(1), P2.constant(2), P2.constant(3)]
         m = [row, row, [P2.constant(4), P2.constant(5), P2.constant(6)]]
         assert _det_bareiss(m).is_zero()
+
+
+def test_literal_minor_is_computed_by_bareiss(monkeypatch):
+    lam, mu, n = Partition((2, 1)), Partition((3,)), 3
+    expected = vandermonde_minor(lam, mu, n)
+    orders = []
+
+    def recording(matrix):
+        orders.append(len(matrix))
+        return _det_bareiss(matrix)
+
+    def refuse(matrix):
+        raise AssertionError("the literal minor was expanded by minors")
+
+    monkeypatch.setattr(verify, "_det_bareiss", recording)
+    monkeypatch.setattr(ring, "_det_expansion", refuse)
+    assert verify._literal_minor(lam, mu, n) == expected
+    assert orders == [n]
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +439,6 @@ def test_packed_mul_at_slot_width_bound(na, nb, ca, cb):
 def test_sparse_products_stay_on_term_loop(monkeypatch):
     dense = eval_unknot(Partition((4, 3, 2, 1))).num
     calls = packed_calls(monkeypatch)
-    ring._den_poly.__wrapped__(2, tuple(range(1, 9)))
-    ring._den_poly.__wrapped__(1, tuple(range(1, 9)))
     P2.monomial(3, 1, -2) * dense
     dense * P2.monomial(1, 0, 5)
     assert calls and not any(calls)
@@ -617,7 +651,10 @@ def test_lift_is_multiplication_by_the_extra_brackets(data):
     x = RingElem(num, tuple(have))
     lifted = ring._lift(x, Counter(x.den) + Counter(extra))
     assert lifted.nvars == nvars
-    assert lifted == num * ring._den_poly(nvars, tuple(sorted(extra)))
+    product = LaurentPoly.one(nvars)
+    for k in extra:
+        product = product * LaurentPoly.quantum_bracket(k, nvars)
+    assert lifted == num * product
 
 
 def test_lift_by_a_repeated_bracket():

@@ -8,6 +8,9 @@ from hopfly.partitions import EMPTY, Partition, partitions_up_to
 from hopfly.series import TruncatedSeries, h_form_is_smaller, required_degree, schur_of_series
 from hopfly.hopf import elementary_series, hopf_invariant
 import hopfly.sln as sln
+# The minor of (q^(ij)) on rows index_set(mu), columns index_set(lam), as an
+# N x N determinant by Bareiss: the oracle for the factorised minor.
+from hopfly.verify import _literal_minor as literal_minor
 from hopfly.sln import (
     hopf_sln_minor,
     hopf_sln_substitution,
@@ -19,15 +22,6 @@ from hopfly.sln import (
 def qp(d):
     """Laurent polynomial in q = s^2 from a q-exponent -> coeff dict."""
     return LaurentPoly({2 * e: c for e, c in d.items()}, nvars=1)
-
-
-def literal_minor(lam, mu, n):
-    """The minor of (q^(ij)) on rows index_set(mu), columns index_set(lam),
-    expanded as an N x N determinant: the oracle for the factorised minor."""
-    return determinant([
-        [LaurentPoly.monomial(1, s=2 * i * j, nvars=1) for j in lam.index_set(n)]
-        for i in mu.index_set(n)
-    ])
 
 
 class TestVandermondeMinor:
