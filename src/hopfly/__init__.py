@@ -47,7 +47,6 @@ from .sln import (
     hopf_sln_minor,
     hopf_sln_substitution,
     sl2_quantum_check,
-    sln_elementary_factors,
     vandermonde_minor,
 )
 

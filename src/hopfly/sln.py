@@ -7,15 +7,19 @@ Two independent routes produce the same one-variable value:
   P(lam,mu) is the N x N minor of the Vandermonde matrix (q**(i*j)) with
   rows picked by the index set a of mu and columns by the index set of lam.
 
-The minor is never expanded as an N x N determinant.  It is a generalised
+No minor is expanded as an N x N determinant.  P(lam,mu) is a generalised
 Vandermonde determinant in x_i = q**a_i, so by the bialternant formula
 (Macdonald, Symmetric Functions and Hall Polynomials, I.3 (3.1)) it equals
 Delta(x) * s_lam(x), with Delta(x) = prod_{i<j} (x_i - x_j) and s_lam(x)
 one Jacobi-Trudy determinant of order min(lam_1, l(lam)): the e-form on
 E(t) = prod_i (1 + x_i t), or, when l(lam) < lam_1, the h-form on
-H(t) = 1 / E(-t) = prod_i 1 / (1 - x_i t).  Above the ring layer this route
-shares only ``schur_of_series`` with the substitution route: it never
-touches the two-variable series or v -> s**-N.
+H(t) = 1 / E(-t) = prod_i 1 / (1 - x_i t).  ``vandermonde_minor`` builds
+that product.  The minor route never does: Delta(q**a) / Delta(q**rho) is
+s_mu(1, q, ..., q**(N-1)), which the hook-content formula gives in closed
+form (Macdonald I.3 Ex. 1), so nothing divides by the reference minor.
+Above the ring layer this route shares only ``schur_of_series`` with the
+substitution route: it never touches the two-variable series or
+v -> s**-N.
 
 Values are reported in s; a q = s**2 form exists only when every exponent
 is even (the minor prefactor can contribute odd powers of s).  The quantum
@@ -28,10 +32,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections import Counter
 from fractions import Fraction
 
 from .ring import ConsistencyError, LaurentPoly, RingElem
-from .partitions import EMPTY, Partition
+from .partitions import Partition
 from .series import TruncatedSeries, h_form_is_smaller, required_degree, schur_of_series
 from .hopf import hopf_invariant
 
@@ -59,18 +64,45 @@ def _index_exponents(lam: Partition, n: int) -> tuple[int, ...]:
     return tuple(2 * a for a in lam.index_set(n))
 
 
+def _elementary_series(exponents: tuple[int, ...], degree: int) -> TruncatedSeries:
+    """prod_i (1 + x_i t) to the given degree, for x_i = s**exponents[i].
+
+    One pass of e_k += x * e_(k-1) per factor, k falling, so every
+    coefficient is exact: those past t**len(exponents) are zero.  The terms
+    are added as exponent -> coefficient maps; all coefficients are positive,
+    so no term cancels.
+    """
+    coeffs = [{0: 1}] + [{} for _ in range(degree)]
+    for i, e in enumerate(exponents):
+        for k in range(min(i + 1, degree), 0, -1):
+            acc = coeffs[k]
+            for a, c in coeffs[k - 1].items():
+                acc[a + e] = acc.get(a + e, 0) + c
+    return TruncatedSeries(tuple(RingElem(LaurentPoly(c, nvars=1)) for c in coeffs))
+
+
 @functools.lru_cache(maxsize=None)
 def _alternant_rows(mu: Partition, n: int) -> tuple[LaurentPoly, TruncatedSeries]:
     """Delta(x) = prod_{i<j} (x_i - x_j) and prod_i (1 + x_i t), the latter
     exact at degree n, for x_i = q**a_i with a = index_set(mu, n)."""
-    xs = [LaurentPoly.monomial(1, s=e, nvars=1) for e in _index_exponents(mu, n)]
+    exponents = _index_exponents(mu, n)
+    xs = [LaurentPoly.monomial(1, s=e, nvars=1) for e in exponents]
     delta = LaurentPoly.one(1)
-    series = TruncatedSeries.one(n, like=RingElem(delta))
     for i, x in enumerate(xs):
-        series = series.mul(TruncatedSeries.linear_factor(RingElem(x), n))
         for y in xs[i + 1:]:
             delta = delta * (x - y)
-    return delta, series
+    return delta, _elementary_series(exponents, n)
+
+
+def _schur_at(lam: Partition, series: TruncatedSeries) -> LaurentPoly:
+    """s_lam of the x_i whose elementary series is ``series``, in the
+    smaller Jacobi-Trudy orientation."""
+    if h_form_is_smaller(lam):
+        schur = schur_of_series(lam.conjugate(), series.negate_t().invert())
+    else:
+        schur = schur_of_series(lam, series)
+    # polynomial entries, so the Schur value has no bracket denominator
+    return schur.num
 
 
 def vandermonde_minor(lam: Partition, mu: Partition, n: int) -> LaurentPoly:
@@ -90,27 +122,46 @@ def vandermonde_minor(lam: Partition, mu: Partition, n: int) -> LaurentPoly:
     degree = required_degree(lam)
     zero = RingElem(LaurentPoly.zero(1))
     series = TruncatedSeries((series.coeffs + (zero,) * degree)[: degree + 1])
-    if h_form_is_smaller(lam):
-        schur = schur_of_series(lam.conjugate(), series.negate_t().invert())
-    else:
-        schur = schur_of_series(lam, series)
-    # polynomial entries, so the Schur value has no bracket denominator
-    return delta * schur.num
+    return delta * _schur_at(lam, series)
+
+
+@functools.lru_cache(maxsize=None)
+def _hook_content(mu: Partition, n: int) -> LaurentPoly:
+    """s_mu(1, q, ..., q**(n-1)) = q**n(mu) * prod_cells (q**(n+c) - 1) / (q**h - 1),
+    with c the content and h the hook length of each cell (Macdonald I.3
+    Ex. 1).  Equal to Delta(q**a) / Delta(q**(n-1), ..., q**0) for
+    a = index_set(mu, n); the one division must be exact.  Factors common to
+    both sides are cancelled before either product is formed."""
+    tops = Counter(n + c for c in mu.contents())
+    bottoms = Counter(mu.hooks())
+    numer = denom = LaurentPoly.one(1)
+    for k in (tops - bottoms).elements():
+        numer = numer * LaurentPoly({2 * k: 1, 0: -1}, nvars=1)
+    for k in (bottoms - tops).elements():
+        denom = denom * LaurentPoly({2 * k: 1, 0: -1}, nvars=1)
+    quo = numer.exact_div(denom)
+    if quo is None:
+        raise ConsistencyError(f"hook-content quotient failed to be exact at ({mu}, N={n})")
+    weight = sum((i - 1) * p for i, p in enumerate(mu.parts, start=1))
+    return quo * LaurentPoly.monomial(1, s=2 * weight, nvars=1)
 
 
 def hopf_sln_minor(lam: Partition, mu: Partition, n: int) -> SlNResult:
-    """Minor-quotient route; the division is exact by construction and a
-    failure is a hard internal error.  The reference minor P(empty,empty)
-    is the Vandermonde product Delta(q**(n-1), ..., q**0)."""
-    minor = vandermonde_minor(lam, mu, n)
-    reference, _ = _alternant_rows(EMPTY, n)
-    shifted = minor * LaurentPoly.monomial(1, s=(1 - n) * (lam.size + mu.size), nvars=1)
-    quo = shifted.exact_div(reference)
-    if quo is None:
-        raise ConsistencyError(
-            f"minor quotient failed to be exact at ({lam}, {mu}, N={n})"
+    """Minor-quotient route, without either minor.
+
+    P(lam, mu) / P(empty, empty) = s_lam(q**a) * s_mu(1, q, ..., q**(n-1))
+    for a = index_set(mu, n): the bialternant Schur value times the
+    hook-content product, so no Vandermonde product is built and nothing
+    divides by Delta(q**(n-1), ..., q**0).
+    """
+    if n < lam.length or n < mu.length:
+        raise ValueError(
+            f"need n >= both lengths: n={n}, lam={lam}, mu={mu}"
         )
-    return SlNResult(lam, mu, n, RingElem(quo), _correction(lam, mu, n))
+    series = _elementary_series(_index_exponents(mu, n), required_degree(lam))
+    shift = LaurentPoly.monomial(1, s=(1 - n) * (lam.size + mu.size), nvars=1)
+    value = _schur_at(lam, series) * _hook_content(mu, n) * shift
+    return SlNResult(lam, mu, n, RingElem(value), _correction(lam, mu, n))
 
 
 def hopf_sln_substitution(lam: Partition, mu: Partition, n: int) -> SlNResult:
@@ -153,16 +204,3 @@ def sl2_quantum_check(a: int, b: int, i: int, j: int) -> Sl2Check:
         return Sl2Check(False)
     (exponent, _), = quo.items()
     return Sl2Check(True, exponent)
-
-
-def sln_elementary_factors(lam: Partition, n: int) -> tuple[RingElem, ...]:
-    """Linear-factor parameters s**(n + 2*lam_j - 2j + 1), j = 1..n, whose
-    product expansion equals the specialised column series of lam.
-
-    They are the minor route's x_j = q**a_j, a = index_set(lam, n), divided
-    by s**(n-1).
-    """
-    return tuple(
-        RingElem(LaurentPoly.monomial(1, s=e - (n - 1), nvars=1))
-        for e in _index_exponents(lam, n)
-    )

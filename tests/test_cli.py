@@ -88,6 +88,15 @@ class TestOtherCommands:
         assert payload["routes_agree"] is True
         assert ring_elem_from_json(payload["minor_value"]) == ring_elem_from_json(payload["value"])
 
+    def test_sln_size_six_pair_at_n_40(self, capsys):
+        # the minor route no longer builds Vandermonde products of
+        # N(N-1)/2 factors, so N = 40 is within reach of the CLI
+        code, out, _ = run_cli(capsys, "sln", "--lambda", "3,2,1", "--mu", "3,2,1",
+                               "--N", "40", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["routes_agree"] is True
+
     def test_verify_small_bounds(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--max-size", "2", "--max-n", "2",
                                "--degree", "4")

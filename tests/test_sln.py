@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import hopfly.ring as ring
-from hopfly.ring import LaurentPoly, RingElem, determinant
+from hopfly.ring import ConsistencyError, LaurentPoly, RingElem, determinant
 from hopfly.partitions import EMPTY, Partition, partitions_up_to
 from hopfly.series import TruncatedSeries, h_form_is_smaller, required_degree, schur_of_series
 from hopfly.hopf import elementary_series, hopf_invariant
@@ -12,10 +12,12 @@ import hopfly.sln as sln
 # N x N determinant by Bareiss: the oracle for the factorised minor.
 from hopfly.verify import _literal_minor as literal_minor
 from hopfly.sln import (
+    _elementary_series,
+    _hook_content,
+    _index_exponents,
     hopf_sln_minor,
     hopf_sln_substitution,
     sl2_quantum_check,
-    sln_elementary_factors,
     vandermonde_minor,
 )
 
@@ -56,7 +58,7 @@ class TestVandermondeMinor:
         assert triples == 659
 
     def test_reference_minor_is_vandermonde_product(self):
-        # the P(empty, empty) that hopf_sln_minor divides by
+        # P(empty, empty), the denominator of the minor quotient
         for n in range(1, 9):
             reference, _ = sln._alternant_rows(EMPTY, n)
             assert reference == literal_minor(EMPTY, EMPTY, n)
@@ -190,50 +192,105 @@ class TestSl2Structure:
 
 class TestElementaryFactors:
     def test_empty_exponents(self):
-        factors = sln_elementary_factors(EMPTY, 3)
-        exps = sorted(next(iter(f.num.items()))[0] for f in factors)
-        assert exps == [-2, 0, 2]
+        assert sorted(_index_exponents(EMPTY, 3)) == [0, 2, 4]
 
     def test_three_one_exponents_match_index_set(self):
-        factors = sln_elementary_factors(Partition((3, 1)), 3)
-        exps = sorted(next(iter(f.num.items()))[0] for f in factors)
-        assert exps == [-2, 2, 8]
-        # reindexing t -> s^(N-1) t shifts each exponent by 2, landing on
-        # q to the index-set powers
-        assert [e + 2 for e in exps] == [0, 4, 10]
-        assert sorted(2 * e for e in Partition((3, 1)).index_set(3)) == [0, 4, 10]
+        exps = sorted(_index_exponents(Partition((3, 1)), 3))
+        assert exps == [0, 4, 10]
+        assert exps == sorted(2 * e for e in Partition((3, 1)).index_set(3))
 
     def test_column_ratio(self):
-        # ratio of the k-column factors to the empty ones is
-        # (1 + s^{N+1} t)/(1 + s^{N-2k+1} t)
+        # the k-column exponents trade q^(N-k) of the empty ones for q^N
         n = 4
+        base = set(_index_exponents(EMPTY, n))
         for k in range(n + 1):
-            col = sorted(
-                next(iter(f.num.items()))[0]
-                for f in sln_elementary_factors(Partition((1,) * k) if k else EMPTY, n)
-            )
-            base = sorted(
-                next(iter(f.num.items()))[0] for f in sln_elementary_factors(EMPTY, n)
-            )
-            gained = set(col) - set(base)
-            lost = set(base) - set(col)
+            col = set(_index_exponents(Partition((1,) * k) if k else EMPTY, n))
+            gained = col - base
+            lost = base - col
             if k == 0:
                 assert not gained and not lost
             else:
-                assert gained == {n + 1} and lost == {n - 2 * k + 1}
+                assert gained == {2 * n} and lost == {2 * n - 2 * k}
 
     def test_product_reproduces_specialised_series(self):
+        # prod_j (1 + s^(2 a_j - (N-1)) t) is the column series of lam at v = s^-N
         for lam in partitions_up_to(4):
             for n in range(max(lam.length, 1), 5):
-                factors = sln_elementary_factors(lam, n)
-                prod = TruncatedSeries.one(n, like=factors[0])
-                for f in factors:
-                    prod = prod.mul(TruncatedSeries.linear_factor(f, n))
+                prod = TruncatedSeries.one(n, like=RingElem(LaurentPoly.one(1)))
+                for e in _index_exponents(lam, n):
+                    x = RingElem(LaurentPoly.monomial(1, s=e - (n - 1), nvars=1))
+                    prod = prod.mul(TruncatedSeries.linear_factor(x, n))
                 specialised = elementary_series(lam, n).map_coeffs(
                     lambda c: c.substitute_v(n)
                 )
                 assert prod == specialised
 
+    def test_recurrence_equals_cauchy_products(self):
+        # the one-pass recurrence, also past t^N where its coefficients are zero
+        for mu in partitions_up_to(4):
+            for n in range(max(mu.length, 1), 6):
+                exponents = _index_exponents(mu, n)
+                for degree in (0, 1, n, n + 3):
+                    prod = TruncatedSeries.one(degree, like=RingElem(LaurentPoly.one(1)))
+                    for e in exponents:
+                        x = RingElem(LaurentPoly.monomial(1, s=e, nvars=1))
+                        prod = prod.mul(TruncatedSeries.linear_factor(x, degree))
+                    assert _elementary_series(exponents, degree) == prod, (mu, n, degree)
+
     def test_domain(self):
         with pytest.raises(ValueError):
-            sln_elementary_factors(Partition((1, 1)), 1)
+            _index_exponents(Partition((1, 1)), 1)
+
+
+class TestHookContentRoute:
+    def test_hook_content_is_literal_minor_quotient(self):
+        # s_mu(1, q, ..., q^(N-1)) = P(empty, mu) / P(empty, empty)
+        pairs = 0
+        for mu in partitions_up_to(5):
+            for n in range(max(mu.length, 1), 8):
+                pairs += 1
+                reference = literal_minor(EMPTY, EMPTY, n)
+                assert _hook_content(mu, n) * reference == literal_minor(EMPTY, mu, n), (mu, n)
+        assert pairs == 109
+
+    def test_minor_route_is_literal_minor_quotient(self):
+        # the paper's statement: s^((1-N)(|lam|+|mu|)) P(lam, mu) / P(empty, empty)
+        for lam in partitions_up_to(3):
+            for mu in partitions_up_to(3):
+                for n in range(max(lam.length, mu.length, 1), 6):
+                    shift = LaurentPoly.monomial(1, s=(1 - n) * (lam.size + mu.size), nvars=1)
+                    quo = (shift * literal_minor(lam, mu, n)).exact_div(
+                        literal_minor(EMPTY, EMPTY, n)
+                    )
+                    assert quo is not None
+                    assert hopf_sln_minor(lam, mu, n).value == RingElem(quo), (lam, mu, n)
+
+    @pytest.mark.parametrize("lam, mu", [
+        ((3, 2, 1), (3, 2, 1)),
+        ((4, 2), (2, 2, 1, 1)),
+        ((6,), (1,) * 6),
+    ])
+    def test_agrees_with_substitution_at_n_40(self, lam, mu):
+        lam, mu = Partition(lam), Partition(mu)
+        assert hopf_sln_minor(lam, mu, 40).value == hopf_sln_substitution(lam, mu, 40).value
+
+    def test_builds_no_minor(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"minor route built a Vandermonde minor: {args}")
+
+        monkeypatch.setattr(sln, "vandermonde_minor", refuse)
+        monkeypatch.setattr(sln, "_alternant_rows", refuse)
+        for lam, mu in [((3, 1), (2, 2)), ((3, 2, 1), (3, 2, 1)), ((), (4,))]:
+            hopf_sln_minor(Partition(lam), Partition(mu), 5)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            hopf_sln_minor(Partition((1, 1, 1)), EMPTY, 2)
+        with pytest.raises(ValueError):
+            hopf_sln_minor(EMPTY, Partition((1, 1, 1)), 2)
+
+    def test_inexact_quotient_is_an_internal_error(self, monkeypatch):
+        sln._hook_content.cache_clear()
+        monkeypatch.setattr(LaurentPoly, "exact_div", lambda self, other: None)
+        with pytest.raises(ConsistencyError):
+            hopf_sln_minor(Partition((1,)), Partition((2, 1)), 3)
