@@ -25,6 +25,7 @@ from .partitions import (
 )
 from .series import (
     TruncatedSeries,
+    required_degree,
     schur_of_series,
 )
 from .hopf import (
@@ -39,7 +40,6 @@ from .hopf import (
     framing_factor,
     hopf_column_row_closed,
     hopf_invariant,
-    required_degree,
 )
 from .sln import (
     Sl2Check,

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: hopf, unknot, series, minor, sln, verify.  Output is text or
-JSON; exit status is 0 on success, 1 on verification failure, 2 on usage
-errors (bad flags, malformed partitions, out-of-range N, insufficient
-degree).
+JSON; exit status is 0 on success, 1 on verification failure or a failed
+internal identity, 2 on usage errors (bad flags, malformed partitions,
+out-of-range N, insufficient degree).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .ring import RingElem, format_poly, format_ring_elem, ring_elem_to_json
+from .ring import ConsistencyError, RingElem, format_poly, format_ring_elem, ring_elem_to_json
 from .partitions import Partition
 from .hopf import (
     complete_series,
@@ -221,6 +221,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ConsistencyError as exc:
+        print(f"error: internal identity failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -39,13 +39,9 @@ def eval_unknot(lam: Partition) -> RingElem:
     """Unknot evaluation: product over cells of
     (v**-1 s**cn - v s**-cn) / (s**hl - s**-hl)."""
     num = LaurentPoly.one()
-    hooks = []
-    conj = lam.conjugate()
-    for (i, j) in lam.cells():
-        cn = j - i
+    for cn in lam.contents():
         num = num * LaurentPoly({(-1, cn): 1, (1, -cn): -1})
-        hooks.append((lam.part(i) - j) + (conj.part(j) - i) + 1)
-    return RingElem(num, tuple(sorted(hooks)))
+    return RingElem(num, tuple(lam.hooks()))
 
 
 def framing_factor(lam: Partition) -> RingElem:
@@ -127,12 +123,16 @@ def complete_series(lam: Partition, degree: int) -> TruncatedSeries:
 
 @functools.lru_cache(maxsize=None)
 def _hopf_value(lam: Partition, mu: Partition) -> RingElem:
+    """s_mu(E_lam) over hooks(mu), times unknot(lam) over hooks(lam).  Row i
+    of the Jacobi-Trudy matrix on nu (mu' for the e-form, mu for the h-form)
+    clears to [1]...[nu_i + l(nu) - i], which holds the hook lengths of row
+    i of nu (Macdonald I.1 Ex. 1), so every excess bracket divides."""
     degree = required_degree(mu)
     if h_form_is_smaller(mu):
         s_mu = schur_of_series(mu.conjugate(), complete_series(lam, degree))
     else:
         s_mu = schur_of_series(mu, elementary_series(lam, degree))
-    return s_mu * eval_unknot(lam)
+    return s_mu.over(mu.hooks()) * eval_unknot(lam)
 
 
 def hopf_invariant(lam: Partition, mu: Partition) -> HopfResult:
@@ -169,8 +169,7 @@ def hopf_column_row_closed(i: int, j: int) -> RingElem:
     for c in range(1, j + 1):
         cn = c - 1
         num = num * LaurentPoly({(-1, cn): 1, (1, -cn): -1})
-    den = tuple(sorted(col.hooks() + row.hooks()))
-    return RingElem(num, den)
+    return RingElem(num, tuple(col.hooks() + row.hooks()))
 
 
 def content_polynomial(lam: Partition, u: RingElem, degree: int) -> TruncatedSeries:

@@ -9,10 +9,9 @@ Two value types live here:
   are all even can be displayed in ``q = s**2``.
 * ``RingElem``: a quotient ``num / prod_k (s**k - s**-k)`` whose numerator is
   a ``LaurentPoly`` of either arity.  Denominators are stored structurally as
-  a multiset of bracket indices ``k``; cancellation is therefore a sequence
-  of exact division trials rather than a two-variable gcd.  Equality never
-  depends on normalisation: two elements are equal iff they agree after
-  cross multiplication.
+  a multiset of bracket indices ``k``, never found by a two-variable gcd.
+  Equality never depends on normalisation: two elements are equal iff they
+  agree after cross multiplication.
 
 Kernels: two multiply and one divides.  A product of dense operands, with
 at least ``_PACKED_MIN_PRODUCTS_PER_SLOT`` term products per coefficient
@@ -33,11 +32,10 @@ inside one multiply.
 Denominators: ``_lift`` rewrites a numerator over a larger bracket
 multiset, which is all that equality, addition, ``den_poly`` and
 ``det_fractions`` need; it multiplies by one bracket s**k - s**-k at a
-time, as a shift up minus a shift down.  ``reduced`` is called only where
-brackets must cancel for printing: after the Jacobi-Trudy determinant and
-after ``substitute_v``.  Elsewhere the brackets left are needed (both
-decoration series are built as products whose coefficient k has denominator
-[1]...[k]), and trial divisions would all fail.
+time, as a shift up minus a shift down.  Only ``RingElem.over`` cancels
+brackets, where a theorem fixes the denominator of a printed value: a
+pairing is over hooks(lam) + hooks(mu), an sl(N) value over no bracket.
+A bracket that does not divide exactly raises ``ConsistencyError``.
 
 Determinants: memoised minor expansion on the column set, for every matrix
 the library builds.  Fraction-free Bareiss elimination (``_det_bareiss``)
@@ -517,7 +515,7 @@ class RingElem:
 
     ``den`` is the multiset of bracket indices, stored sorted.  Two elements
     are equal iff cross multiplication agrees, so any representative is as
-    good as any other; ``reduced`` only tidies the representative.
+    good as any other; ``over`` picks the one over a given multiset.
     """
 
     num: LaurentPoly
@@ -589,28 +587,26 @@ class RingElem:
     def __pow__(self, n: int) -> "RingElem":
         return RingElem(self.num ** n, self.den * n)
 
-    def reduced(self) -> "RingElem":
-        """Cancel bracket factors out of the denominator, largest index first.
-
-        Best effort only; the value is unchanged.
+    def over(self, brackets: Iterable[int]) -> "RingElem":
+        """The same value over exactly the bracket multiset ``brackets``: the
+        brackets it lacks are multiplied in, then each excess one is divided
+        out, largest first.  Raises ``ConsistencyError`` if one does not divide.
         """
-        num = self.num
-        if num.is_zero() or not self.den:
-            return self
-        remaining = list(self.den)
-        for k in sorted(set(remaining), reverse=True):
+        want = Counter(brackets)
+        have = Counter(self.den)
+        num = _lift(self, have | want)
+        excess = have - want
+        for k in sorted(excess, reverse=True):
             bracket = LaurentPoly.quantum_bracket(k, num.nvars)
-            while k in remaining:
-                quo = num.exact_div(bracket)
-                if quo is None:
-                    break
-                num = quo
-                remaining.remove(k)
-        return RingElem(num, tuple(remaining))
+            for _ in range(excess[k]):
+                num = num.exact_div(bracket)
+                if num is None:
+                    raise ConsistencyError(f"[{k}] does not divide the numerator over {self.den}")
+        return RingElem(num, tuple(want.elements()))
 
     def substitute_v(self, n: int) -> "RingElem":
-        """Image under v -> s**-n; denominators map factor by factor."""
-        return RingElem(self.num.substitute_v(n), self.den).reduced()
+        """Image under the ring map v -> s**-n; the brackets stay as they are."""
+        return RingElem(self.num.substitute_v(n), self.den)
 
     def __str__(self) -> str:
         return format_ring_elem(self)

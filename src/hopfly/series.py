@@ -133,7 +133,8 @@ def schur_of_series(mu: Partition, series: TruncatedSeries) -> RingElem:
     complete coefficients h_k of H(t) = 1 / E(-t) and the conjugate mu'
     instead, the same matrix det(h_{mu_i + j - i}) is s_mu at order l(mu)
     (the h-form; Macdonald I.3 (3.4) and (3.5)).  Both forms read up to
-    degree l(mu) + mu_1 - 1, so ``required_degree`` serves either.
+    degree l(mu) + mu_1 - 1, so ``required_degree`` serves either.  The
+    value is over the brackets of the row-cleared matrix; none cancels.
     """
     if mu.size == 0:
         return RingElem(LaurentPoly.one(series.coeffs[0].num.nvars))
@@ -148,5 +149,5 @@ def schur_of_series(mu: Partition, series: TruncatedSeries) -> RingElem:
         [series.coeff(conj.part(i) + j - i) for j in range(1, r + 1)]
         for i in range(1, r + 1)
     ]
-    return det_fractions(matrix).reduced()
+    return det_fractions(matrix)
 

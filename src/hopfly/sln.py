@@ -165,9 +165,9 @@ def hopf_sln_minor(lam: Partition, mu: Partition, n: int) -> SlNResult:
 
 
 def hopf_sln_substitution(lam: Partition, mu: Partition, n: int) -> SlNResult:
-    """Substitution route v -> s**-n; zero exactly when either diagram has
-    more than n parts."""
-    value = hopf_invariant(lam, mu).value.substitute_v(n)
+    """Substitution route v -> s**-n, a Laurent polynomial over no bracket;
+    zero exactly when either diagram has more than n parts."""
+    value = hopf_invariant(lam, mu).value.substitute_v(n).over(())
     return SlNResult(lam, mu, n, value, _correction(lam, mu, n))
 
 
@@ -198,7 +198,7 @@ def sl2_quantum_check(a: int, b: int, i: int, j: int) -> Sl2Check:
     if value.is_zero():
         return Sl2Check(False)
     numer = value.num * LaurentPoly({2: 1, 0: -1}, nvars=1)
-    denom = LaurentPoly({2 * a * b: 1, 0: -1}, nvars=1) * value.den_poly()
+    denom = LaurentPoly({2 * a * b: 1, 0: -1}, nvars=1)
     quo = numer.exact_div(denom)
     if quo is None or not quo.is_unit_monomial():
         return Sl2Check(False)

@@ -23,7 +23,6 @@ COUNTED = (
     "ring.exact_div.calls",
     "ring.substitute_v.calls",
     "ring.elem_add.calls",
-    "ring.reduced.calls",
     "ring.det_fractions.calls",
     "ring.determinant.expansion_calls",
     "ring.determinant.bareiss_calls",

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+import hopfly.hopf as hopf
 from hopfly.cli import main
-from hopfly.ring import parse_ring_elem, ring_elem_from_json
+from hopfly.ring import LaurentPoly, parse_ring_elem, ring_elem_from_json
 from hopfly.partitions import Partition
 from hopfly.hopf import hopf_invariant
 from hopfly.verify import run_all
@@ -146,6 +147,14 @@ class TestErrorHandling:
         code, _, err = run_cli(capsys, "minor", "--lambda", "1,1,1", "--mu", "0", "--N", "2")
         assert code == 2
         assert "error" in err
+
+    def test_failed_identity_exits_1(self, capsys, monkeypatch):
+        hopf._hopf_value.cache_clear()
+        monkeypatch.setattr(LaurentPoly, "exact_div", lambda self, other: None)
+        code, out, err = run_cli(capsys, "hopf", "--lambda", "2,1", "--mu", "2,1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: internal identity failed: ")
 
 
 def test_module_entry_point():

@@ -261,6 +261,12 @@ class TestHopfInvariant:
             hopf._hopf_value.__wrapped__(Partition(lam), Partition(mu))
         assert built.value.args == (order,)
 
+    def test_pairing_is_written_over_both_hook_multisets(self):
+        for lam in partitions_up_to(5):
+            for mu in partitions_up_to(5):
+                den = hopf_invariant(lam, mu).value.den
+                assert den == tuple(sorted(lam.hooks() + mu.hooks())), (lam, mu)
+
     def test_closed_form_examples(self):
         assert hopf_column_row_closed(0, 0) == 1
         assert hopf_column_row_closed(0, 3) == eval_unknot(row_partition(3))

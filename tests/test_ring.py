@@ -9,6 +9,7 @@ from hopfly.hopf import eval_unknot, hopf_invariant
 from hopfly.partitions import Partition
 from hopfly.sln import vandermonde_minor
 from hopfly.ring import (
+    ConsistencyError,
     LaurentPoly,
     RingElem,
     _det_bareiss,
@@ -124,9 +125,19 @@ class TestRingElem:
         assert DELTA * DELTA == RingElem(expected_num, (1, 1))
 
     def test_delta_substitution_cancels(self):
-        val = DELTA.substitute_v(2)
+        assert DELTA.substitute_v(2).den == (1,)  # the ring map cancels nothing
+        val = DELTA.substitute_v(2).over(())
         assert val == RingElem(P1({1: 1, -1: 1}))
-        assert val.den == ()  # (s^2-s^-2)/(s-s^-1) reduces to s + s^-1
+        assert val.den == ()  # (s^2-s^-2)/(s-s^-1) is s + s^-1
+
+    def test_over_lifts_before_it_divides(self):
+        # (s + s^-1)/[2] = 1/[1], though [2] alone does not divide s + s^-1
+        val = RingElem(P2({(0, 1): 1, (0, -1): 1}), (2,)).over((1,))
+        assert val.num == P2.one() and val.den == (1,)
+
+    def test_over_refuses_a_bracket_that_does_not_divide(self):
+        with pytest.raises(ConsistencyError):
+            RingElem(P2({(2, 0): 1, (0, 0): -1}), (1,)).over(())  # (v^2 - 1)/[1]
 
     def test_equality_is_cross_multiplicative(self):
         a = RingElem(P2.quantum_bracket(2), (1, 1))  # (s^2-s^-2)/(s-s^-1)^2
@@ -212,9 +223,13 @@ def test_cross_multiplication_equivalence(x, ks1, ks2):
 
 
 @settings(max_examples=40, deadline=None)
-@given(ring_elem())
-def test_reduced_preserves_value(x):
-    assert x.reduced() == x
+@given(ring_elem().filter(bool), st.lists(st.integers(1, 4), max_size=3), st.integers(1, 4))
+def test_over_rewrites_the_denominator(x, extra, k):
+    den = x.den + tuple(extra)
+    assert x.over(den) == x
+    assert x.over(den).den == tuple(sorted(den))
+    back = RingElem(x.num * LaurentPoly.quantum_bracket(k), x.den + (k,)).over(x.den)
+    assert back.num == x.num and back.den == x.den
 
 
 @settings(max_examples=40, deadline=None)

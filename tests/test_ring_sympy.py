@@ -9,6 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import hopfly.ring as ring
+from hopfly.hopf import hopf_invariant
+from hopfly.partitions import partitions_up_to
 from hopfly.ring import LaurentPoly
 
 sympy = pytest.importorskip("sympy")
@@ -155,3 +157,15 @@ def test_exact_div_agrees_with_sympy(data):
         assert got is not None
         shift = tuple(x - y for x, y in zip(sa, sb))
         assert exps(got) == from_sympy(quo, shift)
+
+
+def test_pairings_print_in_lowest_terms():
+    # [k] = s**-k (s**(2k) - 1) is s**-k times the cyclotomic Phi_d(s) over
+    # d | 2k, so no such Phi_d may divide the printed numerator.
+    for lam in partitions_up_to(3):
+        for mu in partitions_up_to(3):
+            value = hopf_invariant(lam, mu).value
+            num, _ = to_sympy(value.num)
+            for d in {d for k in value.den for d in sympy.divisors(2 * k)}:
+                phi = sympy.Poly(sympy.cyclotomic_poly(d, S), V, S)
+                assert not num.rem(phi).is_zero, (lam, mu, d)

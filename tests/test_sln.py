@@ -158,6 +158,12 @@ class TestSpecialisationRoutes:
                         == hopf_sln_minor(lam, mu, n).value
                     )
 
+    def test_substitution_values_are_laurent_polynomials(self):
+        for lam in partitions_up_to(4):
+            for mu in partitions_up_to(4):
+                for n in range(1, 6):
+                    assert hopf_sln_substitution(lam, mu, n).value.den == (), (lam, mu, n)
+
     def test_correction_exponent_field(self):
         res = hopf_sln_minor(Partition((3, 1)), Partition((2, 2)), 3)
         assert res.correction_exponent == Fraction(-2 * 4 * 4, 3)
