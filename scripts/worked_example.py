@@ -3,8 +3,10 @@
 
 Computes the two-variable invariant for a pair of diagrams, then its sl(N)
 specialisation by both routes, and shows the Vandermonde minor that drives
-the minor route, computed by the bialternant formula as
-Delta(q^a) * s_lambda(q^a).
+the minor route.  Both come from one pipeline: the minor is
+P(0, 0) * s_mu(1, q, ..., q^(N-1)) * s_lambda(q^a), and the sl(N) value by
+minors is the same product without the reference minor P(0, 0), times
+s^((1-N)(|lambda|+|mu|)).
 """
 
 import argparse

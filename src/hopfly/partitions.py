@@ -15,8 +15,8 @@ class Partition:
     parts: tuple[int, ...] = ()
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        if any(p < 1 for p in parts):
+        parts = tuple(self.parts)
+        if any(type(p) is not int or p < 1 for p in parts):
             raise ValueError(f"parts must be positive integers, got {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be weakly decreasing, got {parts}")

@@ -823,18 +823,21 @@ def ring_elem_to_json(x: RingElem) -> dict:
 def ring_elem_from_json(obj: Mapping) -> RingElem:
     """Inverse of ``ring_elem_to_json``; the ``text`` field is not read.
 
-    Raises ValueError unless ``vars`` is 1 or 2 (it is inferred from the
-    term length when absent), every term holds exactly ``vars + 1`` ints
-    and every bracket in ``den`` is an int >= 1 (bools and floats are not).
+    Raises ValueError unless ``num`` is a list of term lists, ``vars`` is
+    the int 1 or 2 (it is inferred from the term length when absent), every
+    term holds exactly ``vars + 1`` ints and ``den`` is a list of ints >= 1
+    (bools and floats are not).
     """
-    den = tuple(obj.get("den", ()))
-    if not all(type(k) is int for k in den):
-        raise ValueError(f"brackets are integers >= 1, got {den!r}")
+    den = obj.get("den", [])
+    if type(den) is not list or not all(type(k) is int for k in den):
+        raise ValueError(f"brackets are a list of integers >= 1, got {den!r}")
     nvars = obj.get("vars")
-    num_terms = obj["num"]
+    num_terms = obj.get("num")
+    if type(num_terms) is not list or not all(type(t) is list for t in num_terms):
+        raise ValueError(f"num is a list of term lists, got {num_terms!r}")
     if nvars is None:
         nvars = 2 if any(len(t) == 3 for t in num_terms) else 1
-    if nvars not in (1, 2):
+    if type(nvars) is not int or nvars not in (1, 2):
         raise ValueError(f"vars must be 1 or 2, got {nvars!r}")
     for t in num_terms:
         if len(t) != nvars + 1 or not all(type(x) is int for x in t):

@@ -7,19 +7,19 @@ Two independent routes produce the same one-variable value:
   P(lam,mu) is the N x N minor of the Vandermonde matrix (q**(i*j)) with
   rows picked by the index set a of mu and columns by the index set of lam.
 
-No minor is expanded as an N x N determinant.  P(lam,mu) is a generalised
-Vandermonde determinant in x_i = q**a_i, so by the bialternant formula
-(Macdonald, Symmetric Functions and Hall Polynomials, I.3 (3.1)) it equals
-Delta(x) * s_lam(x), with Delta(x) = prod_{i<j} (x_i - x_j) and s_lam(x)
+No minor is expanded as an N x N determinant.  Both entry points share one
+pipeline, P(lam,mu) = P(empty,empty) * s_mu(1, q, ..., q**(N-1)) * s_lam(q**a).
+By the bialternant formula (Macdonald, Symmetric Functions and Hall
+Polynomials, I.3 (3.1)) the generalised Vandermonde determinant P(lam,mu) in
+x_i = q**a_i is Delta(x) * s_lam(x), Delta(x) = prod_{i<j} (x_i - x_j), and
+Delta(q**a) / P(empty,empty) is s_mu(1, q, ..., q**(N-1)), which the
+hook-content formula gives in closed form (Macdonald I.3 Ex. 1).  s_lam(x) is
 one Jacobi-Trudy determinant of order min(lam_1, l(lam)): the e-form on
 E(t) = prod_i (1 + x_i t), or, when l(lam) < lam_1, the h-form on
-H(t) = 1 / E(-t) = prod_i 1 / (1 - x_i t).  ``vandermonde_minor`` builds
-that product.  The minor route never does: Delta(q**a) / Delta(q**rho) is
-s_mu(1, q, ..., q**(N-1)), which the hook-content formula gives in closed
-form (Macdonald I.3 Ex. 1), so nothing divides by the reference minor.
-Above the ring layer this route shares only ``schur_of_series`` with the
-substitution route: it never touches the two-variable series or
-v -> s**-N.
+H(t) = 1 / E(-t).  The minor route takes the quotient alone, so nothing
+divides by the reference minor.  Above the ring layer it shares only
+``schur_of_series`` with the substitution route: it never touches the
+two-variable series or v -> s**-N.
 
 Values are reported in s; a q = s**2 form exists only when every exponent
 is even (the minor prefactor can contribute odd powers of s).  The quantum
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -64,6 +65,7 @@ def _index_exponents(lam: Partition, n: int) -> tuple[int, ...]:
     return tuple(2 * a for a in lam.index_set(n))
 
 
+@functools.lru_cache(maxsize=None)
 def _elementary_series(exponents: tuple[int, ...], degree: int) -> TruncatedSeries:
     """prod_i (1 + x_i t) to the given degree, for x_i = s**exponents[i].
 
@@ -79,50 +81,6 @@ def _elementary_series(exponents: tuple[int, ...], degree: int) -> TruncatedSeri
             for a, c in coeffs[k - 1].items():
                 acc[a + e] = acc.get(a + e, 0) + c
     return TruncatedSeries(tuple(RingElem(LaurentPoly(c, nvars=1)) for c in coeffs))
-
-
-@functools.lru_cache(maxsize=None)
-def _alternant_rows(mu: Partition, n: int) -> tuple[LaurentPoly, TruncatedSeries]:
-    """Delta(x) = prod_{i<j} (x_i - x_j) and prod_i (1 + x_i t), the latter
-    exact at degree n, for x_i = q**a_i with a = index_set(mu, n)."""
-    exponents = _index_exponents(mu, n)
-    xs = [LaurentPoly.monomial(1, s=e, nvars=1) for e in exponents]
-    delta = LaurentPoly.one(1)
-    for i, x in enumerate(xs):
-        for y in xs[i + 1:]:
-            delta = delta * (x - y)
-    return delta, _elementary_series(exponents, n)
-
-
-def _schur_at(lam: Partition, series: TruncatedSeries) -> LaurentPoly:
-    """s_lam of the x_i whose elementary series is ``series``, in the
-    smaller Jacobi-Trudy orientation."""
-    if h_form_is_smaller(lam):
-        schur = schur_of_series(lam.conjugate(), series.negate_t().invert())
-    else:
-        schur = schur_of_series(lam, series)
-    # polynomial entries, so the Schur value has no bracket denominator
-    return schur.num
-
-
-def vandermonde_minor(lam: Partition, mu: Partition, n: int) -> LaurentPoly:
-    """The N x N minor of (q**(i*j)) on rows index_set(mu), columns
-    index_set(lam), both taken in decreasing order (q = s**2).
-
-    Computed as Delta(x) * s_lam(x) over x_i = q**a_i, a = index_set(mu):
-    one Jacobi-Trudy determinant of order min(lam_1, l(lam)), no N x N
-    matrix.
-    """
-    if n < lam.length or n < mu.length:
-        raise ValueError(
-            f"need n >= both lengths: n={n}, lam={lam}, mu={mu}"
-        )
-    delta, series = _alternant_rows(mu, n)
-    # coefficients past t**n are zero; Jacobi-Trudy reads up to lam_1 + l(lam) - 1
-    degree = required_degree(lam)
-    zero = RingElem(LaurentPoly.zero(1))
-    series = TruncatedSeries((series.coeffs + (zero,) * degree)[: degree + 1])
-    return delta * _schur_at(lam, series)
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,21 +104,52 @@ def _hook_content(mu: Partition, n: int) -> LaurentPoly:
     return quo * LaurentPoly.monomial(1, s=2 * weight, nvars=1)
 
 
-def hopf_sln_minor(lam: Partition, mu: Partition, n: int) -> SlNResult:
-    """Minor-quotient route, without either minor.
+@functools.lru_cache(maxsize=None)
+def _reference_minor(n: int) -> LaurentPoly:
+    """P(empty, empty) = Delta(q**(n-1), ..., q**0)
+    = q**C(n,3) * prod_{d<n} (q**d - 1)**(n-d): each pair i > j of
+    exponents gives q**j * (q**(i-j) - 1)."""
+    value = LaurentPoly.monomial(1, s=2 * math.comb(n, 3), nvars=1)
+    for d in range(1, n):
+        value = value * LaurentPoly({2 * d: 1, 0: -1}, nvars=1) ** (n - d)
+    return value
 
-    P(lam, mu) / P(empty, empty) = s_lam(q**a) * s_mu(1, q, ..., q**(n-1))
-    for a = index_set(mu, n): the bialternant Schur value times the
-    hook-content product, so no Vandermonde product is built and nothing
-    divides by Delta(q**(n-1), ..., q**0).
-    """
+
+def _minor_quotient(lam: Partition, mu: Partition, n: int) -> LaurentPoly:
+    """P(lam, mu) / P(empty, empty) = s_lam(q**a) * s_mu(1, q, ..., q**(n-1))
+    for a = index_set(mu, n), with s_lam in the smaller Jacobi-Trudy
+    orientation."""
     if n < lam.length or n < mu.length:
         raise ValueError(
             f"need n >= both lengths: n={n}, lam={lam}, mu={mu}"
         )
+    # coefficients past t**n are zero; Jacobi-Trudy reads up to lam_1 + l(lam) - 1
     series = _elementary_series(_index_exponents(mu, n), required_degree(lam))
+    if h_form_is_smaller(lam):
+        schur = schur_of_series(lam.conjugate(), series.negate_t().invert())
+    else:
+        schur = schur_of_series(lam, series)
+    # polynomial entries, so the Schur value has no bracket denominator
+    return schur.num * _hook_content(mu, n)
+
+
+def vandermonde_minor(lam: Partition, mu: Partition, n: int) -> LaurentPoly:
+    """The N x N minor of (q**(i*j)) on rows index_set(mu), columns
+    index_set(lam), both taken in decreasing order (q = s**2).
+
+    Computed as the reference minor P(empty, empty) times the minor
+    quotient: one Jacobi-Trudy determinant of order min(lam_1, l(lam)), no
+    N x N matrix.
+    """
+    return _reference_minor(n) * _minor_quotient(lam, mu, n)
+
+
+def hopf_sln_minor(lam: Partition, mu: Partition, n: int) -> SlNResult:
+    """Minor-quotient route, without either minor: the minor quotient
+    P(lam, mu) / P(empty, empty) times s**((1-n)(|lam|+|mu|)), so nothing
+    divides by the reference minor."""
     shift = LaurentPoly.monomial(1, s=(1 - n) * (lam.size + mu.size), nvars=1)
-    value = _schur_at(lam, series) * _hook_content(mu, n) * shift
+    value = _minor_quotient(lam, mu, n) * shift
     return SlNResult(lam, mu, n, RingElem(value), _correction(lam, mu, n))
 
 

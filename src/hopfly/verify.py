@@ -234,10 +234,11 @@ def check_specialisation_vanishing(max_size: int = 5, max_n: int = 3) -> CheckRe
 def check_minor_symmetry(max_size: int = 4, max_n: int = 4) -> CheckResult:
     """P(lam, mu) = P(mu, lam): the Vandermonde matrix is symmetric.
 
-    With the minors factorised by the bialternant formula this is the
-    identity Delta(q**a) * s_lam(q**a) = Delta(q**b) * s_mu(q**b), for
-    a = index_set(mu, N) and b = index_set(lam, N): two different
-    Jacobi-Trudy determinants on two different products.
+    With P(lam, mu) = P(empty, empty) * s_mu(1, q, ..., q**(N-1)) * s_lam(q**a)
+    this is the identity s_mu(1, ..., q**(N-1)) * s_lam(q**a) =
+    s_lam(1, ..., q**(N-1)) * s_mu(q**b), for a = index_set(mu, N) and
+    b = index_set(lam, N): two different hook-content products times two
+    different Jacobi-Trudy determinants on two different series.
     """
     bad = []
     for lam, mu in _all_pairs(max_size):
@@ -262,12 +263,14 @@ def _literal_minor(lam: Partition, mu: Partition, n: int) -> LaurentPoly:
 
 
 def check_minor_bialternant(max_size: int = 4, max_n: int = 4) -> CheckResult:
-    """The bialternant factorisation Delta(x) * s_lam(x) that
-    ``vandermonde_minor`` computes equals the literal N x N determinant.
+    """The product P(empty, empty) * s_mu(1, q, ..., q**(N-1)) * s_lam(q**a)
+    that ``vandermonde_minor`` computes equals the literal N x N determinant.
 
-    The factorised side takes one Jacobi-Trudy determinant by memoised minor
-    expansion, the library's only determinant algorithm; the literal side is
-    computed by fraction-free Bareiss elimination, used nowhere else.
+    Its last two factors are the quotient that the sl(N) minor route scales
+    and prints.  The factorised side takes one Jacobi-Trudy determinant by
+    memoised minor expansion, the library's only determinant algorithm; the
+    literal side is computed by fraction-free Bareiss elimination, used
+    nowhere else.
     """
     bad = []
     for lam, mu in _all_pairs(max_size):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -5,7 +6,9 @@ import sys
 
 import pytest
 
+import hopfly.cli as cli
 import hopfly.hopf as hopf
+import hopfly.verify as verify
 from hopfly.cli import main
 from hopfly.ring import LaurentPoly, parse_ring_elem, ring_elem_from_json
 from hopfly.partitions import Partition
@@ -155,6 +158,27 @@ class TestErrorHandling:
         assert code == 1
         assert out == ""
         assert err.startswith("error: internal identity failed: ")
+
+    def test_disagreeing_routes_exit_1(self, capsys, monkeypatch):
+        real = cli.hopf_sln_minor
+
+        def shifted(lam, mu, n):
+            result = real(lam, mu, n)
+            return dataclasses.replace(result, value=result.value + 1)
+
+        monkeypatch.setattr(cli, "hopf_sln_minor", shifted)
+        code, out, _ = run_cli(capsys, "sln", "--lambda", "3,1", "--mu", "2,2", "--N", "3")
+        assert code == 1
+        assert "routes agree: false" in out
+
+    def test_failing_check_exits_1(self, capsys, monkeypatch):
+        failing = verify.CheckResult("sl(2) structure", False, "forced failure")
+        monkeypatch.setattr(verify, "check_sl2_structure", lambda *args: failing)
+        code, out, _ = run_cli(capsys, "verify", "--max-size", "2", "--max-n", "2",
+                               "--degree", "4")
+        assert code == 1
+        assert "FAIL  sl(2) structure: forced failure" in out.splitlines()
+        assert "15/16 checks passed" in out.splitlines()
 
 
 def test_module_entry_point():

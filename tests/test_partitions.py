@@ -46,7 +46,12 @@ class TestBasics:
             P(1, 2)
         with pytest.raises(ValueError):
             P(3, 0)
+        # parts are ints: no float or bool is truncated or read as one
+        for parts in ((2.7, 1), (2.0, 1), (True,), (2, False), ("2", 1)):
+            with pytest.raises(ValueError):
+                Partition(parts)
         assert Partition.of(3, 1, 0, 0) == P(3, 1)
+        assert Partition([3, 1]) == P(3, 1)
 
     def test_text_forms(self):
         assert Partition.from_text("3,1") == P(3, 1)

@@ -276,6 +276,16 @@ def test_json_rejects_malformed_terms():
         {"vars": 1, "num": [[0, 1]], "den": [0]},
         {"vars": 1, "num": [[True, 1]]},
         {"vars": 2, "num": [[0, 1.0, 1]]},
+        {"vars": True, "num": [[0, 1]]},
+        {"vars": 1.0, "num": [[0, 1]]},
+        {"vars": 1},
+        {"num": None},
+        {"vars": 1, "num": 5},
+        {"vars": 1, "num": "[[0, 1]]"},
+        {"vars": 1, "num": [5]},
+        {"vars": 1, "num": [[0, 1], 5]},
+        {"vars": 1, "num": [[0, 1]], "den": 5},
+        {"vars": 1, "num": [[0, 1]], "den": "23"},
     ):
         with pytest.raises(ValueError):
             ring_elem_from_json(bad)
