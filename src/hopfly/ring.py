@@ -29,13 +29,20 @@ pairs, and an exact quotient is long division in v, one slice division per
 step.  Values are stored as term dicts either way; packing lives only
 inside one multiply.
 
-Denominators: ``_lift`` rewrites a numerator over a larger bracket
+Denominators: ``_lift`` rewrites a numerator over a bracket multiset
+whose product the numerator's own bracket product divides.  Over a larger
 multiset, which is all that equality, addition, ``den_poly`` and
-``det_fractions`` need; it multiplies by one bracket s**k - s**-k at a
-time, as a shift up minus a shift down.  Only ``RingElem.over`` cancels
-brackets, where a theorem fixes the denominator of a printed value: a
-pairing is over hooks(lam) + hooks(mu), an sl(N) value over no bracket.
-A bracket that does not divide exactly raises ``ConsistencyError``.
+``det_fractions`` need, it multiplies by one bracket s**k - s**-k at a
+time, as a shift up minus a shift down.  Otherwise it multiplies by the
+exact quotient of the two bracket products, memoised, such as the
+q-binomial [1]...[k] / ([1]...[i] [1]...[k-i]); ``_divides`` decides
+divisibility from the cyclotomic factors of the brackets.
+``sum_of_products``, the coefficient sum of a series product, uses that
+branch to sum over one term's brackets instead of their union.  Only
+``RingElem.over`` cancels brackets, where a theorem fixes the denominator
+of a printed value: a pairing is over hooks(lam) + hooks(mu), an sl(N)
+value over no bracket.  A bracket that does not divide exactly raises
+``ConsistencyError``.
 
 Determinants: memoised minor expansion on the column set, for every matrix
 the library builds.  Fraction-free Bareiss elimination (``_det_bareiss``)
@@ -500,13 +507,76 @@ def _times_bracket(terms: dict, k: int, nvars: int) -> dict:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _divides(small: tuple, big: tuple) -> bool:
+    """Whether the bracket product over ``small`` divides the one over ``big``.
+
+    [k] = s**-k * (s**2k - 1) = s**-k * prod_{d | 2k} Phi_d(s), and the
+    cyclotomic polynomials Phi_d are distinct, monic and irreducible, so one
+    product divides the other iff no Phi_d occurs more often in it.
+    """
+    def phi_counts(den):
+        return Counter(d for k in den for d in range(1, 2 * k + 1) if 2 * k % d == 0)
+
+    return phi_counts(small) <= phi_counts(big)
+
+
+@functools.lru_cache(maxsize=None)
+def _bracket_quotient(small: tuple, big: tuple, nvars: int) -> LaurentPoly:
+    """prod [k] over big divided by prod [k] over small, which must divide it;
+    the brackets the two share cancel before either product is formed."""
+    want, have = Counter(big), Counter(small)
+    one = LaurentPoly.one(nvars)
+    top = RingElem(one, tuple((want - have).elements())).den_poly()
+    quo = top.exact_div(RingElem(one, tuple((have - want).elements())).den_poly())
+    if quo is None:
+        raise ConsistencyError(f"the brackets {small} do not divide the brackets {big}")
+    return quo
+
+
 def _lift(x: "RingElem", den: Counter) -> LaurentPoly:
-    """Numerator of x over the bracket multiset den, which contains x.den:
-    x.num times each extra bracket in turn, O(#num) per bracket."""
+    """Numerator of x over the bracket multiset den; the bracket product of
+    x.den must divide that of den.  When den contains x.den, x.num times
+    each extra bracket in turn, O(#num) per bracket; otherwise x.num times
+    the exact quotient of the two products (``_bracket_quotient``)."""
     num = x.num
-    for k in (den - Counter(x.den)).elements():
-        num = _from_terms(_times_bracket(num._terms, k, num.nvars), num.nvars)
-    return num
+    have = Counter(x.den)
+    if have <= den:
+        for k in (den - have).elements():
+            num = _from_terms(_times_bracket(num._terms, k, num.nvars), num.nvars)
+        return num
+    return num * _bracket_quotient(x.den, tuple(sorted(den.elements())), num.nvars)
+
+
+def sum_of_products(pairs: Iterable[tuple["RingElem", "RingElem"]], nvars: int) -> "RingElem":
+    """The sum of x * y over the pairs, written over one bracket multiset.
+
+    That is a term's own multiset when every other term's bracket product
+    divides it (``_divides``), as [1]...[k] does each e_i h_(k-i) of a
+    Cauchy product of decoration series; otherwise the union of all of
+    them.  Each term lifts its factor with fewer terms before the
+    multiply, and the numerators accumulate in one term dict.
+    """
+    terms = [(x, y, tuple(sorted(x.den + y.den))) for x, y in pairs if x and y]
+    if not terms:
+        return RingElem(LaurentPoly.zero(nvars))
+    dens = {d for _, _, d in terms}
+    den = max(dens, key=sum)
+    if not all(_divides(d, den) for d in dens):
+        union = Counter()
+        for d in dens:
+            union |= Counter(d)
+        den = tuple(sorted(union.elements()))
+    want = Counter(den)
+    acc: dict = {}
+    get = acc.get
+    for x, y, d in terms:
+        if len(x.num._terms) > len(y.num._terms):
+            x, y = y, x
+        lifted = x.num if d == den else _lift(RingElem(x.num, d), want)
+        for e, c in (lifted * y.num)._terms.items():
+            acc[e] = get(e, 0) + c
+    return RingElem(_from_terms({e: c for e, c in acc.items() if c}, nvars), den)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -591,17 +661,25 @@ class RingElem:
         """The same value over exactly the bracket multiset ``brackets``: the
         brackets it lacks are multiplied in, then each excess one is divided
         out, largest first.  Raises ``ConsistencyError`` if one does not divide.
+
+        A bracket has no v, so each v-slice of the numerator is divided on
+        its own, by every excess bracket in turn, and the numerator is
+        sliced and flattened once.
         """
         want = Counter(brackets)
         have = Counter(self.den)
         num = _lift(self, have | want)
-        excess = have - want
-        for k in sorted(excess, reverse=True):
-            bracket = LaurentPoly.quantum_bracket(k, num.nvars)
-            for _ in range(excess[k]):
-                num = num.exact_div(bracket)
-                if num is None:
-                    raise ConsistencyError(f"[{k}] does not divide the numerator over {self.den}")
+        excess = sorted((have - want).elements(), reverse=True)
+        if excess:
+            nvars = num.nvars
+            slices = _slices(num._terms) if nvars == 2 else {0: num._terms}
+            for ev, sl in slices.items():
+                for k in excess:
+                    sl = _div_terms_1var(sl, {k: 1, -k: -1})
+                    if sl is None:
+                        raise ConsistencyError(f"[{k}] does not divide the numerator over {self.den}")
+                slices[ev] = sl
+            num = _from_terms(_flatten(slices) if nvars == 2 else slices[0], nvars)
         return RingElem(num, tuple(want.elements()))
 
     def substitute_v(self, n: int) -> "RingElem":
@@ -657,7 +735,11 @@ def _det_expansion(matrix):
         memo[mask] = total
         return total
 
-    return minor((1 << n) - 1)
+    det = minor((1 << n) - 1)
+    # minor's closure holds minor itself; clearing that cell frees the memo
+    # and the matrix now rather than at the next cyclic garbage collection.
+    del minor
+    return det
 
 
 def _det_bareiss(matrix):

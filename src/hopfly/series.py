@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
-from .ring import LaurentPoly, RingElem, det_fractions
+from .ring import LaurentPoly, RingElem, det_fractions, sum_of_products
 from .partitions import Partition
 
 
@@ -61,29 +61,31 @@ class TruncatedSeries:
     __hash__ = None
 
     def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product, truncated to the smaller degree."""
+        """Cauchy product, truncated to the smaller degree.  Coefficient k,
+        the sum of self_i * other_(k-i), is summed by ``sum_of_products``
+        over one bracket multiset.  For decoration series that is
+        [1]...[k]: term i is over [1]...[i] [1]...[k-i], and the quotient
+        is a q-binomial."""
         d = min(self.degree, other.degree)
-        out = []
-        for k in range(d + 1):
-            acc = self.coeffs[0] * other.coeffs[k]
-            for i in range(1, k + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[k - i]
-            out.append(acc)
-        return TruncatedSeries(tuple(out))
+        nvars = self.coeffs[0].num.nvars
+        return TruncatedSeries(tuple(
+            sum_of_products(zip(self.coeffs[:k + 1], reversed(other.coeffs[:k + 1])), nvars)
+            for k in range(d + 1)
+        ))
 
     def invert(self) -> "TruncatedSeries":
-        """The series B with self * B = 1 to the truncation degree.
+        """The series B with self * B = 1 to the truncation degree:
+        B_k = -(sum of self_i * B_(k-i) for i = 1..k), each summed by
+        ``sum_of_products`` over one bracket multiset, as in ``mul``.
 
         Requires constant coefficient 1, so the recursion stays integral.
         """
         if not (self.coeffs[0] == 1):
             raise ValueError("series inversion needs constant coefficient 1")
-        out = [RingElem(LaurentPoly.one(self.coeffs[0].num.nvars))]
+        nvars = self.coeffs[0].num.nvars
+        out = [RingElem(LaurentPoly.one(nvars))]
         for k in range(1, self.degree + 1):
-            acc = self.coeffs[1] * out[k - 1]
-            for i in range(2, k + 1):
-                acc = acc + self.coeffs[i] * out[k - i]
-            out.append(-acc)
+            out.append(-sum_of_products(zip(self.coeffs[1:k + 1], reversed(out)), nvars))
         return TruncatedSeries(tuple(out))
 
     def scale_t(self, alpha: RingElem) -> "TruncatedSeries":

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 
 import pytest
@@ -297,6 +298,18 @@ class TestDeterminant:
     def test_small_integer_matrix(self):
         m = [[P2.constant(a) for a in row] for row in ((2, 3), (1, 4))]
         assert determinant(m) == P2.constant(5)
+
+    def test_expansion_leaves_no_garbage_cycle(self):
+        # The memo of minors is freed when the determinant returns, not
+        # kept until the next cyclic collection.
+        m = [[P2.monomial(1, i, i * j) for j in range(4)] for i in range(4)]
+        gc.collect()
+        gc.disable()
+        try:
+            _det_expansion(m)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -687,3 +700,148 @@ def test_lift_by_a_repeated_bracket():
         num = LaurentPoly.monomial(3, s=1, nvars=nvars) - LaurentPoly.one(nvars)
         lifted = ring._lift(RingElem(num, (1,)), Counter((1, 2, 2, 2)))
         assert lifted == num * LaurentPoly.quantum_bracket(2, nvars) ** 3
+
+
+# ---------------------------------------------------------------------------
+# bracket divisibility and lifts by an exact quotient
+
+
+def bracket_product(den, nvars=1):
+    return RingElem(LaurentPoly.one(nvars), tuple(den)).den_poly()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(1, 12), max_size=4), st.lists(st.integers(1, 12), max_size=4))
+def test_cyclotomic_divisibility_matches_exact_division(small, big):
+    small, big = tuple(sorted(small)), tuple(sorted(big))
+    divides = bracket_product(big).exact_div(bracket_product(small)) is not None
+    assert ring._divides(small, big) == divides
+
+
+def test_q_binomial_brackets_divide_without_being_contained():
+    for k in range(1, 10):
+        whole = tuple(range(1, k + 1))
+        for i in range(k + 1):
+            parts = tuple(sorted([*range(1, i + 1), *range(1, k - i + 1)]))
+            assert ring._divides(parts, whole), (k, i)
+            assert bracket_product(whole).exact_div(bracket_product(parts)) is not None
+            inside = Counter(parts) <= Counter(whole)
+            assert inside == (i in (0, k)), (k, i)
+            # [k] holds the cyclotomic factor Phi_2k, which no smaller bracket does
+            assert ring._divides(whole, parts) == (i in (0, k)), (k, i)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lift_across_a_q_binomial_is_cross_multiplication(data):
+    nvars = data.draw(st.sampled_from((1, 2)))
+    num = data.draw(boxed_poly(nvars))
+    k = data.draw(st.integers(2, 8))
+    i = data.draw(st.integers(1, k - 1))
+    parts = (*range(1, i + 1), *range(1, k - i + 1))
+    whole = tuple(range(1, k + 1))
+    x = RingElem(num, parts)
+    lifted = ring._lift(x, Counter(whole))
+    assert lifted.nvars == nvars
+    assert lifted * bracket_product(parts, nvars) == num * bracket_product(whole, nvars)
+    assert RingElem(lifted, whole) == x
+
+
+def test_lift_refuses_brackets_that_do_not_divide():
+    num = LaurentPoly.monomial(1, v=1, s=2)
+    with pytest.raises(ConsistencyError):
+        ring._lift(RingElem(num, (3,)), Counter((2,)))
+    with pytest.raises(ConsistencyError):
+        ring._lift(RingElem(num, (1, 1, 1)), Counter((2, 5)))  # Phi_1 thrice, [2][5] twice
+    assert ring._lift(RingElem(num, (1, 1)), Counter((2, 5))) * bracket_product((1, 1), 2) == \
+        num * bracket_product((2, 5), 2)
+
+
+def sum_by_adds(pairs, nvars):
+    total = RingElem(LaurentPoly.zero(nvars))
+    for x, y in pairs:
+        total = total + x * y
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_sum_of_products_matches_pairwise_adds(data):
+    nvars = data.draw(st.sampled_from((1, 2)))
+    pairs = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        x, y = (RingElem(data.draw(boxed_poly(nvars)),
+                         tuple(data.draw(st.lists(st.integers(1, 5), max_size=3))))
+                for _ in range(2))
+        pairs.append((x, y))
+    got = ring.sum_of_products(pairs, nvars)
+    assert got.num.nvars == nvars
+    assert got == sum_by_adds(pairs, nvars)
+    union = Counter()
+    for x, y in pairs:
+        if x and y:
+            union |= Counter(x.den + y.den)
+    assert Counter(got.den) <= union
+
+
+def test_sum_of_products_takes_the_term_denominator_that_all_divide():
+    # [1][2][3] holds [1][1][2] = [1][2] * [1] and [1][1] by q-binomials
+    one = RingElem(LaurentPoly.one())
+    e = [RingElem(LaurentPoly.monomial(1, v=-k, s=k), tuple(range(1, k + 1))) for k in range(4)]
+    got = ring.sum_of_products([(e[i], e[3 - i]) for i in range(4)], 2)
+    assert got.den == (1, 2, 3)
+    assert got == sum_by_adds([(e[i], e[3 - i]) for i in range(4)], 2)
+    # no term's brackets hold both [3] and [4]: the union
+    got = ring.sum_of_products([(one, RingElem(LaurentPoly.one(), (3,))),
+                                (one, RingElem(LaurentPoly.monomial(1, v=1), (4,)))], 2)
+    assert got.den == (3, 4)
+    assert ring.sum_of_products([], 1) == RingElem(LaurentPoly.zero(1))
+
+
+# ---------------------------------------------------------------------------
+# RingElem.over divides each v-slice
+
+
+def over_per_bracket(x, brackets):
+    """RingElem.over as one LaurentPoly.exact_div of the whole numerator per
+    excess bracket, largest first."""
+    want, have = Counter(brackets), Counter(x.den)
+    num = ring._lift(x, have | want)
+    for k in sorted((have - want).elements(), reverse=True):
+        num = num.exact_div(LaurentPoly.quantum_bracket(k, num.nvars))
+        if num is None:
+            raise ConsistencyError(f"[{k}] does not divide")
+    return RingElem(num, tuple(want.elements()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_over_by_slices_matches_per_bracket_division(data):
+    nvars = data.draw(st.sampled_from((1, 2)))
+    base = data.draw(boxed_poly(nvars))
+    factors = data.draw(st.lists(st.integers(1, 5), max_size=4))
+    extra = data.draw(st.lists(st.integers(1, 5), max_size=2))
+    x = RingElem(base * bracket_product(factors, nvars), (*factors, *extra))
+    target = data.draw(st.lists(st.sampled_from((*factors, *extra, 6)), max_size=5))
+    try:
+        expected = over_per_bracket(x, target)
+    except ConsistencyError:
+        with pytest.raises(ConsistencyError):
+            x.over(target)
+        return
+    got = x.over(target)
+    assert got.den == expected.den == (() if got.is_zero() else tuple(sorted(target)))
+    assert got.num == expected.num
+    assert got == x
+
+
+def test_over_refuses_when_one_slice_does_not_divide():
+    # v * (s - s^-1) + 1: the v^1 slice divides by [1], the v^0 slice does not
+    num = P2({(1, 1): 1, (1, -1): -1, (0, 0): 1})
+    with pytest.raises(ConsistencyError):
+        RingElem(num, (1,)).over(())
+    with pytest.raises(ConsistencyError):
+        over_per_bracket(RingElem(num, (1,)), ())
+    # the one-variable numerator s + 1 over [1]
+    with pytest.raises(ConsistencyError):
+        RingElem(P1({1: 1, 0: 1}), (1,)).over(())

@@ -59,6 +59,49 @@ def unit_series(draw, degree=5):
     return TruncatedSeries(tuple(coeffs))
 
 
+def mul_pairwise(a, b):
+    """The Cauchy product as k + 1 RingElem additions per coefficient, each
+    over the union of the brackets so far: the oracle for ``mul``."""
+    d = min(a.degree, b.degree)
+    out = []
+    for k in range(d + 1):
+        acc = a.coeffs[0] * b.coeffs[k]
+        for i in range(1, k + 1):
+            acc = acc + a.coeffs[i] * b.coeffs[k - i]
+        out.append(acc)
+    return TruncatedSeries(tuple(out))
+
+
+def invert_pairwise(a):
+    """The inverse by the same pairwise additions: the oracle for ``invert``."""
+    out = [RingElem(LaurentPoly.one(a.coeffs[0].num.nvars))]
+    for k in range(1, a.degree + 1):
+        acc = a.coeffs[1] * out[k - 1]
+        for i in range(2, k + 1):
+            acc = acc + a.coeffs[i] * out[k - i]
+        out.append(-acc)
+    return TruncatedSeries(tuple(out))
+
+
+@st.composite
+def bracket_series(draw, nvars, degree, unit=False, brackets=True):
+    """Up to ``degree`` + 1 coefficients of up to three terms, some zero,
+    each over up to three brackets of index <= 4 when ``brackets``."""
+    coeffs = []
+    for k in range(degree + 1):
+        if unit and k == 0:
+            coeffs.append(RingElem(LaurentPoly.one(nvars)))
+            continue
+        terms = []
+        for _ in range(draw(st.integers(0, 3))):
+            es = draw(st.integers(-3, 3))
+            key = es if nvars == 1 else (draw(st.integers(-2, 2)), es)
+            terms.append((key, draw(st.integers(-5, 5))))
+        den = draw(st.lists(st.integers(1, 4), max_size=3)) if brackets else ()
+        coeffs.append(RingElem(LaurentPoly(terms, nvars), tuple(den)))
+    return TruncatedSeries(tuple(coeffs))
+
+
 class TestSeriesArithmetic:
     def test_one_times_one_minus_t(self):
         plus = TruncatedSeries.linear_factor(ONE, 2)
@@ -99,6 +142,42 @@ class TestSeriesArithmetic:
 def test_invert_roundtrip(a):
     assert a.mul(a.invert()) == TruncatedSeries.one(a.degree)
     assert a.invert().invert() == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mul_matches_pairwise_adds(data):
+    nvars = data.draw(st.sampled_from((1, 2)))
+    a = data.draw(bracket_series(nvars, data.draw(st.integers(0, 5))))
+    b = data.draw(bracket_series(nvars, data.draw(st.integers(0, 5))))
+    got = a.mul(b)
+    assert got == mul_pairwise(a, b)
+    assert all(c.num.nvars == nvars for c in got.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_invert_matches_pairwise_adds(data):
+    nvars = data.draw(st.sampled_from((1, 2)))
+    brackets = data.draw(st.booleans())
+    a = data.draw(bracket_series(nvars, data.draw(st.integers(0, 5)), unit=True, brackets=brackets))
+    got = a.invert()
+    assert got == invert_pairwise(a)
+    if not brackets:
+        # the sl(N) h-form path: polynomial coefficients stay polynomials
+        assert all(c.den == () for c in got.coeffs)
+
+
+def test_cauchy_coefficient_k_is_over_one_factorial():
+    # e_i e_(k-i) is over [1]...[i] [1]...[k-i], which divides [1]...[k]
+    # (a q-binomial); summed over their union it would be
+    # [1]...[k] [1]...[k // 2].
+    for lam in (EMPTY, Partition((1,)), Partition((2, 1)), Partition((3, 1, 1)), Partition((2, 2))):
+        e = elementary_series(lam, 8)
+        square = e.mul(e)
+        for k, c in enumerate(square.coeffs):
+            assert c.den == tuple(range(1, k + 1)), (lam, k, c.den)
+    assert square == mul_pairwise(e, e)
 
 
 @st.composite
