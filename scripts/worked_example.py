@@ -13,7 +13,6 @@ import argparse
 
 from hopfly import (
     Partition,
-    RingElem,
     elementary_series,
     eval_unknot,
     format_poly,
@@ -43,7 +42,7 @@ def main():
         print(f"  t^{k}: {series.coeff(k)}")
 
     pairing = hopf_invariant(lam, mu)
-    print(f"\ntwo-variable invariant:\n  {pairing.value}")
+    print(f"\ntwo-variable invariant:\n  {pairing}")
 
     if n >= max(lam.length, mu.length):
         minor = vandermonde_minor(lam, mu, n)

@@ -29,7 +29,6 @@ from .series import (
     schur_of_series,
 )
 from .hopf import (
-    HopfResult,
     complete_series,
     content_polynomial,
     curl_identity_check,

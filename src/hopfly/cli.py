@@ -107,15 +107,15 @@ def _print_value(label: str, value: RingElem):
 
 def run(args: argparse.Namespace) -> int:
     if args.command == "hopf":
-        result = hopf_invariant(args.lam, args.mu)
+        value = hopf_invariant(args.lam, args.mu)
         if args.format == "json":
             out = {"lambda": list(args.lam.parts), "mu": list(args.mu.parts)}
-            out["value"] = ring_elem_to_json(result.value)
+            out["value"] = ring_elem_to_json(value)
             print(json.dumps(out))
         else:
             print(f"lambda: {args.lam}")
             print(f"mu: {args.mu}")
-            _print_value("value", result.value)
+            _print_value("value", value)
         return 0
 
     if args.command == "unknot":

@@ -18,20 +18,12 @@ H_lam = 1 / E_lam(-t).
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from typing import Iterable
 
 from .ring import LaurentPoly, RingElem
 from .partitions import Partition, column_partition, hook_partition, row_partition
 from .series import TruncatedSeries, h_form_is_smaller, required_degree, schur_of_series
-
-
-@dataclasses.dataclass(frozen=True)
-class HopfResult:
-    lam: Partition
-    mu: Partition
-    value: RingElem
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,9 +127,9 @@ def _hopf_value(lam: Partition, mu: Partition) -> RingElem:
     return s_mu.over(mu.hooks()) * eval_unknot(lam)
 
 
-def hopf_invariant(lam: Partition, mu: Partition) -> HopfResult:
+def hopf_invariant(lam: Partition, mu: Partition) -> RingElem:
     """The two-variable pairing s_mu(E_lam) * unknot(lam)."""
-    return HopfResult(lam, mu, _hopf_value(lam, mu))
+    return _hopf_value(lam, mu)
 
 
 def hopf_column_row_closed(i: int, j: int) -> RingElem:

@@ -38,11 +38,14 @@ exact quotient of the two bracket products, memoised, such as the
 q-binomial [1]...[k] / ([1]...[i] [1]...[k-i]); ``_divides`` decides
 divisibility from the cyclotomic factors of the brackets.
 ``sum_of_products``, the coefficient sum of a series product, uses that
-branch to sum over one term's brackets instead of their union.  Only
-``RingElem.over`` cancels brackets, where a theorem fixes the denominator
-of a printed value: a pairing is over hooks(lam) + hooks(mu), an sl(N)
-value over no bracket.  A bracket that does not divide exactly raises
-``ConsistencyError``.
+branch to sum over one term's brackets instead of their union.
+``RingElem.over`` is the one place that divides by brackets: it writes a
+value over a given multiset, shifting in the brackets the value lacks and
+dividing out the excess ones exactly.  It forms that memoised quotient, the
+closed forms of the sl(N) minor route, whose factors q**k - 1 are
+s**k [k], and every printed value, whose denominator a theorem fixes: a
+pairing is over hooks(lam) + hooks(mu), an sl(N) value over no bracket.  A
+bracket that does not divide exactly raises ``ConsistencyError``.
 
 Determinants: memoised minor expansion on the column set, for every matrix
 the library builds.  Fraction-free Bareiss elimination (``_det_bareiss``)
@@ -388,8 +391,7 @@ class LaurentPoly:
             return NotImplemented
         return self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+    __hash__ = None  # equal to ints, whose hashes it cannot match; not hashable
 
     def __neg__(self) -> "LaurentPoly":
         return _from_terms({e: -c for e, c in self._terms.items()}, self.nvars)
@@ -523,22 +525,19 @@ def _divides(small: tuple, big: tuple) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _bracket_quotient(small: tuple, big: tuple, nvars: int) -> LaurentPoly:
-    """prod [k] over big divided by prod [k] over small, which must divide it;
-    the brackets the two share cancel before either product is formed."""
-    want, have = Counter(big), Counter(small)
-    one = LaurentPoly.one(nvars)
-    top = RingElem(one, tuple((want - have).elements())).den_poly()
-    quo = top.exact_div(RingElem(one, tuple((have - want).elements())).den_poly())
-    if quo is None:
-        raise ConsistencyError(f"the brackets {small} do not divide the brackets {big}")
-    return quo
+    """prod [k] over big divided by prod [k] over small, which must divide it:
+    the numerator of 1 / prod [k] over small, written over big by
+    ``RingElem.over``.  Its lift only shifts in the brackets small lacks, so
+    it never comes back here."""
+    return RingElem(LaurentPoly.one(nvars), small).over(big).num
 
 
 def _lift(x: "RingElem", den: Counter) -> LaurentPoly:
     """Numerator of x over the bracket multiset den; the bracket product of
     x.den must divide that of den.  When den contains x.den, x.num times
     each extra bracket in turn, O(#num) per bracket; otherwise x.num times
-    the exact quotient of the two products (``_bracket_quotient``)."""
+    the exact quotient of the two products (``_bracket_quotient``), which
+    ``RingElem.over`` forms by that first branch alone."""
     num = x.num
     have = Counter(x.den)
     if have <= den:

@@ -13,13 +13,16 @@ By the bialternant formula (Macdonald, Symmetric Functions and Hall
 Polynomials, I.3 (3.1)) the generalised Vandermonde determinant P(lam,mu) in
 x_i = q**a_i is Delta(x) * s_lam(x), Delta(x) = prod_{i<j} (x_i - x_j), and
 Delta(q**a) / P(empty,empty) is s_mu(1, q, ..., q**(N-1)), which the
-hook-content formula gives in closed form (Macdonald I.3 Ex. 1).  s_lam(x) is
-one Jacobi-Trudy determinant of order min(lam_1, l(lam)): the e-form on
-E(t) = prod_i (1 + x_i t), or, when l(lam) < lam_1, the h-form on
-H(t) = 1 / E(-t).  The minor route takes the quotient alone, so nothing
-divides by the reference minor.  Above the ring layer it shares only
-``schur_of_series`` with the substitution route: it never touches the
-two-variable series or v -> s**-N.
+hook-content formula gives in closed form (Macdonald I.3 Ex. 1).  That
+closed form and P(empty,empty) are made of factors q**k - 1 = s**k [k], with
+[k] = s**k - s**-k the quantum bracket, so each is the numerator that
+``RingElem.over`` gives a monomial over brackets; this module does no
+bracket arithmetic of its own.  s_lam(x) is one Jacobi-Trudy determinant of
+order min(lam_1, l(lam)): the e-form on E(t) = prod_i (1 + x_i t), or, when
+l(lam) < lam_1, the h-form on H(t) = 1 / E(-t).  The minor route takes the
+quotient alone, so nothing divides by the reference minor.  Above the ring
+layer it shares only ``schur_of_series`` with the substitution route: it
+never touches the two-variable series or v -> s**-N.
 
 Values are reported in s; a q = s**2 form exists only when every exponent
 is even (the minor prefactor can contribute odd powers of s).  The quantum
@@ -33,10 +36,9 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from collections import Counter
 from fractions import Fraction
 
-from .ring import ConsistencyError, LaurentPoly, RingElem
+from .ring import LaurentPoly, RingElem
 from .partitions import Partition
 from .series import TruncatedSeries, h_form_is_smaller, required_degree, schur_of_series
 from .hopf import hopf_invariant
@@ -88,31 +90,25 @@ def _hook_content(mu: Partition, n: int) -> LaurentPoly:
     """s_mu(1, q, ..., q**(n-1)) = q**n(mu) * prod_cells (q**(n+c) - 1) / (q**h - 1),
     with c the content and h the hook length of each cell (Macdonald I.3
     Ex. 1).  Equal to Delta(q**a) / Delta(q**(n-1), ..., q**0) for
-    a = index_set(mu, n); the one division must be exact.  Factors common to
-    both sides are cancelled before either product is formed."""
-    tops = Counter(n + c for c in mu.contents())
-    bottoms = Counter(mu.hooks())
-    numer = denom = LaurentPoly.one(1)
-    for k in (tops - bottoms).elements():
-        numer = numer * LaurentPoly({2 * k: 1, 0: -1}, nvars=1)
-    for k in (bottoms - tops).elements():
-        denom = denom * LaurentPoly({2 * k: 1, 0: -1}, nvars=1)
-    quo = numer.exact_div(denom)
-    if quo is None:
-        raise ConsistencyError(f"hook-content quotient failed to be exact at ({mu}, N={n})")
+    a = index_set(mu, n).  Since q**k - 1 = s**k [k], that is a monomial
+    over the hook brackets, written over the brackets [n+c] by
+    ``RingElem.over``; the division must be exact."""
+    hooks = mu.hooks()
     weight = sum((i - 1) * p for i, p in enumerate(mu.parts, start=1))
-    return quo * LaurentPoly.monomial(1, s=2 * weight, nvars=1)
+    exponent = 2 * weight + n * mu.size + mu.content_sum() - sum(hooks)
+    value = RingElem(LaurentPoly.monomial(1, s=exponent, nvars=1), tuple(hooks))
+    return value.over(n + c for c in mu.contents()).num
 
 
 @functools.lru_cache(maxsize=None)
 def _reference_minor(n: int) -> LaurentPoly:
     """P(empty, empty) = Delta(q**(n-1), ..., q**0)
     = q**C(n,3) * prod_{d<n} (q**d - 1)**(n-d): each pair i > j of
-    exponents gives q**j * (q**(i-j) - 1)."""
-    value = LaurentPoly.monomial(1, s=2 * math.comb(n, 3), nvars=1)
-    for d in range(1, n):
-        value = value * LaurentPoly({2 * d: 1, 0: -1}, nvars=1) ** (n - d)
-    return value
+    exponents gives q**j * (q**(i-j) - 1).  With q**d - 1 = s**d [d], that
+    is a monomial written over the brackets [d]**(n-d) by ``RingElem.over``."""
+    exponent = 2 * math.comb(n, 3) + sum(d * (n - d) for d in range(1, n))
+    value = RingElem(LaurentPoly.monomial(1, s=exponent, nvars=1))
+    return value.over(d for d in range(1, n) for _ in range(n - d)).num
 
 
 def _minor_quotient(lam: Partition, mu: Partition, n: int) -> LaurentPoly:
@@ -156,7 +152,7 @@ def hopf_sln_minor(lam: Partition, mu: Partition, n: int) -> SlNResult:
 def hopf_sln_substitution(lam: Partition, mu: Partition, n: int) -> SlNResult:
     """Substitution route v -> s**-n, a Laurent polynomial over no bracket;
     zero exactly when either diagram has more than n parts."""
-    value = hopf_invariant(lam, mu).value.substitute_v(n).over(())
+    value = hopf_invariant(lam, mu).substitute_v(n).over(())
     return SlNResult(lam, mu, n, value, _correction(lam, mu, n))
 
 

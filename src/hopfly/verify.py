@@ -30,10 +30,8 @@ from .hopf import (
     elementary_series,
     elementary_series_by_rows,
     eval_unknot,
-    framing_factor,
     hook_factors,
     hopf_column_row_closed,
-    hopf_invariant,
     times_factors,
 )
 from .sln import hopf_sln_minor, hopf_sln_substitution, sl2_quantum_check, vandermonde_minor

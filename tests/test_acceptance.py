@@ -40,7 +40,7 @@ def test_criterion_1_golden_two_variable():
     eval_unknot.cache_clear()
 
     start = time.perf_counter()
-    value = hopf_invariant(Partition((3, 1)), Partition((2, 2))).value
+    value = hopf_invariant(Partition((3, 1)), Partition((2, 2)))
     elapsed = time.perf_counter() - start
 
     core = (

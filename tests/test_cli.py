@@ -34,7 +34,7 @@ class TestHopfCommand:
         assert code == 0
         value_line = next(l for l in out.splitlines() if l.startswith("value:"))
         parsed = parse_ring_elem(value_line.split("value:", 1)[1].strip())
-        assert parsed == hopf_invariant(Partition((3, 1)), Partition((2, 2))).value
+        assert parsed == hopf_invariant(Partition((3, 1)), Partition((2, 2)))
 
     def test_json_round_trips(self, capsys):
         code, out, _ = run_cli(capsys, "hopf", "--lambda", "2,1", "--mu", "1,1",
@@ -42,7 +42,7 @@ class TestHopfCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["lambda"] == [2, 1] and payload["mu"] == [1, 1]
-        expected = hopf_invariant(Partition((2, 1)), Partition((1, 1))).value
+        expected = hopf_invariant(Partition((2, 1)), Partition((1, 1)))
         assert ring_elem_from_json(payload["value"]) == expected
         assert parse_ring_elem(payload["value"]["text"]) == expected
 

@@ -52,7 +52,7 @@ def grid_lines() -> list[str]:
     lines = []
     for lam in diagrams:
         for mu in diagrams:
-            lines.append(f"hopf {lam} {mu} {format_ring_elem(hopf_invariant(lam, mu).value)}")
+            lines.append(f"hopf {lam} {mu} {format_ring_elem(hopf_invariant(lam, mu))}")
             for n in range(max(lam.length, mu.length, 1), MAX_N + 1):
                 sub = hopf_sln_substitution(lam, mu, n).value
                 minor = hopf_sln_minor(lam, mu, n).value

@@ -38,6 +38,15 @@ DELTA = elem({(-1, 0): 1, (1, 0): -1}, (1,))
 ONE = RingElem(P2.one())
 
 
+def sigma(x):
+    """The ring involution s -> -s**-1, v fixed.  It sends v**a s**b to
+    (-1)**b v**a s**-b and the bracket [k] to (-1)**(k+1) [k]."""
+    sign = (-1) ** sum(k + 1 for k in x.den)
+    num = P2({(ev, -es): -sign * c if es % 2 else sign * c
+              for (ev, es), c in x.num.items()})
+    return RingElem(num, x.den)
+
+
 class TestUnknot:
     def test_empty_is_one(self):
         assert eval_unknot(EMPTY) == 1
@@ -230,8 +239,8 @@ class TestHopfInvariant:
 
     def test_empty_decoration_reduces_to_unknot(self):
         for mu in partitions_up_to(4):
-            assert hopf_invariant(EMPTY, mu).value == eval_unknot(mu)
-            assert hopf_invariant(mu, EMPTY).value == eval_unknot(mu)
+            assert hopf_invariant(EMPTY, mu) == eval_unknot(mu)
+            assert hopf_invariant(mu, EMPTY) == eval_unknot(mu)
 
     def test_symmetry_small(self):
         pairs = [
@@ -240,7 +249,21 @@ class TestHopfInvariant:
             (Partition((4,)), Partition((2, 1, 1))),
         ]
         for lam, mu in pairs:
-            assert hopf_invariant(lam, mu).value == hopf_invariant(mu, lam).value
+            assert hopf_invariant(lam, mu) == hopf_invariant(mu, lam)
+
+    def test_conjugation_is_the_involution(self):
+        # <lam', mu'> = sigma <lam, mu>: the conjugates swap arms and legs,
+        # so their series and Jacobi-Trudy matrices differ from lam's and mu's
+        assert sigma(elem({(1, 1): 3})) == elem({(1, -1): -3})
+        assert sigma(elem({(0, 0): 1}, (2,))) == elem({(0, 0): -1}, (2,))
+        assert sigma(elem({(0, 1): 1, (0, -1): -1}, (1,))) == 1
+        pairs = 0
+        for lam in partitions_up_to(5):
+            for mu in partitions_up_to(5):
+                pairs += 1
+                conjugated = hopf_invariant(lam.conjugate(), mu.conjugate())
+                assert conjugated == sigma(hopf_invariant(lam, mu)), (lam, mu)
+        assert pairs == 361
 
     @pytest.mark.parametrize("lam, mu, order", [
         ((1,), (13,), 1),
@@ -264,7 +287,7 @@ class TestHopfInvariant:
     def test_pairing_is_written_over_both_hook_multisets(self):
         for lam in partitions_up_to(5):
             for mu in partitions_up_to(5):
-                den = hopf_invariant(lam, mu).value.den
+                den = hopf_invariant(lam, mu).den
                 assert den == tuple(sorted(lam.hooks() + mu.hooks())), (lam, mu)
 
     def test_closed_form_examples(self):
@@ -282,7 +305,7 @@ class TestHopfInvariant:
     def test_closed_form_matches_series_route(self):
         for i in range(7):
             for j in range(7):
-                direct = hopf_invariant(column_partition(i), row_partition(j)).value
+                direct = hopf_invariant(column_partition(i), row_partition(j))
                 assert hopf_column_row_closed(i, j) == direct
 
     def test_multiplicativity_over_column_products(self):
@@ -290,12 +313,12 @@ class TestHopfInvariant:
             for i in range(3):
                 for j in range(3):
                     lhs = (
-                        hopf_invariant(lam, column_partition(i)).value
-                        * hopf_invariant(lam, column_partition(j)).value
+                        hopf_invariant(lam, column_partition(i))
+                        * hopf_invariant(lam, column_partition(j))
                     )
                     total = RingElem(P2.zero())
                     for nu in pieri_column(column_partition(i), j):
-                        total = total + hopf_invariant(lam, nu).value
+                        total = total + hopf_invariant(lam, nu)
                     assert lhs == eval_unknot(lam) * total
 
 

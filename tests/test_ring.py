@@ -87,6 +87,13 @@ class TestLaurentArithmetic:
         with pytest.raises(ValueError):
             LaurentPoly({}, nvars=3)
 
+    def test_not_hashable(self):
+        # equal to the int 3, so no hash could agree with both
+        assert LaurentPoly.constant(3) == 3
+        for p in (LaurentPoly.constant(3), P1({2: 1, -2: -1})):
+            with pytest.raises(TypeError):
+                hash(p)
+
     def test_arities_do_not_mix(self):
         one_var, two_var = LaurentPoly.one(nvars=1), LaurentPoly.one()
         assert one_var.nvars == 1 and two_var.nvars == 2
@@ -483,7 +490,7 @@ def test_sparse_products_stay_on_term_loop(monkeypatch):
 
 
 def test_ladder_size_product_is_packed(monkeypatch):
-    pairing = hopf_invariant(Partition((4, 3, 2, 1)), Partition((4, 2, 1))).value.num
+    pairing = hopf_invariant(Partition((4, 3, 2, 1)), Partition((4, 2, 1))).num
     unknot = eval_unknot(Partition((4, 3, 2, 1))).num
     calls = packed_calls(monkeypatch)
     product = pairing * unknot

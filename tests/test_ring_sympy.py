@@ -164,7 +164,7 @@ def test_pairings_print_in_lowest_terms():
     # d | 2k, so no such Phi_d may divide the printed numerator.
     for lam in partitions_up_to(3):
         for mu in partitions_up_to(3):
-            value = hopf_invariant(lam, mu).value
+            value = hopf_invariant(lam, mu)
             num, _ = to_sympy(value.num)
             for d in {d for k in value.den for d in sympy.divisors(2 * k)}:
                 phi = sympy.Poly(sympy.cyclotomic_poly(d, S), V, S)
