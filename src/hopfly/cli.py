@@ -218,7 +218,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: a part too large to index a list, e.g. in conjugate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConsistencyError as exc:

@@ -7,13 +7,14 @@ closed idempotents of two Young diagrams is computed as
 
 where E_lam is the generating series of the pairings of lam against single
 columns, expressed as an explicit rational multiple of the empty-diagram
-series via the diagonal (arm, leg) data of lam, and s_mu is the Jacobi-Trudy
-determinant in its coefficients.  lam always supplies the series and mu the
-Schur side; symmetry of the result is a theorem that the test suite checks,
-not a shortcut the implementation takes.  The Schur side picks the smaller
-Jacobi-Trudy order: the e-form of order mu_1 on E_lam, or, when
-l(mu) < mu_1, the h-form of order l(mu) on the row series
-H_lam = 1 / E_lam(-t).
+series via the diagonal (arm, leg) data of lam, and s_mu is a determinant
+in its coefficients.  lam always supplies the series and mu the Schur side;
+symmetry of the result is a theorem that the test suite checks, not a
+shortcut the implementation takes.  The Schur side is the determinant of
+smallest order: Giambelli's, of order d(mu), on the hook values of E_lam
+and of the row series H_lam = 1 / E_lam(-t) when d(mu) < min(mu_1, l(mu));
+otherwise the Jacobi-Trudy e-form of order mu_1 on E_lam, or, when
+l(mu) < mu_1, its h-form of order l(mu) on H_lam.  Ties keep Jacobi-Trudy.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from typing import Iterable
 
 from .ring import LaurentPoly, RingElem
 from .partitions import Partition, column_partition, hook_partition, row_partition
-from .series import TruncatedSeries, h_form_is_smaller, required_degree, schur_of_series
+from .series import (
+    TruncatedSeries,
+    h_form_is_smaller,
+    required_degree,
+    schur_by_giambelli,
+    schur_of_series,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,6 +113,7 @@ def elementary_series_by_rows(lam: Partition, degree: int) -> TruncatedSeries:
     return times_factors(elementary_series_empty(degree), pairs)
 
 
+@functools.lru_cache(maxsize=None)
 def complete_series(lam: Partition, degree: int) -> TruncatedSeries:
     """Row series H_lam = 1 / E_lam(-t), as the mirror product
     H_empty * prod_i (1 - w_i t) / (1 - u_i t)."""
@@ -115,12 +123,20 @@ def complete_series(lam: Partition, degree: int) -> TruncatedSeries:
 
 @functools.lru_cache(maxsize=None)
 def _hopf_value(lam: Partition, mu: Partition) -> RingElem:
-    """s_mu(E_lam) over hooks(mu), times unknot(lam) over hooks(lam).  Row i
-    of the Jacobi-Trudy matrix on nu (mu' for the e-form, mu for the h-form)
-    clears to [1]...[nu_i + l(nu) - i], which holds the hook lengths of row
-    i of nu (Macdonald I.1 Ex. 1), so every excess bracket divides."""
+    """s_mu(E_lam) over hooks(mu), times unknot(lam) over hooks(lam).
+
+    s_mu is the determinant of smallest order: Giambelli's, of order d(mu),
+    when that is below min(mu_1, l(mu)), otherwise the smaller Jacobi-Trudy
+    orientation; ties keep Jacobi-Trudy.  Every form has the value s_mu,
+    whose product with the brackets of hooks(mu) is a Laurent polynomial
+    (row i of the Jacobi-Trudy matrix on nu, mu' for the e-form and mu for
+    the h-form, clears to [1]...[nu_i + l(nu) - i], which holds the hook
+    lengths of row i of nu; Macdonald I.1 Ex. 1), so every excess bracket
+    divides."""
     degree = required_degree(mu)
-    if h_form_is_smaller(mu):
+    if mu.diagonal_length < min(mu.part(1), mu.length):
+        s_mu = schur_by_giambelli(mu, elementary_series(lam, degree), complete_series(lam, degree))
+    elif h_form_is_smaller(mu):
         s_mu = schur_of_series(mu.conjugate(), complete_series(lam, degree))
     else:
         s_mu = schur_of_series(mu, elementary_series(lam, degree))

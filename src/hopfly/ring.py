@@ -18,16 +18,16 @@ at least ``_PACKED_MIN_PRODUCTS_PER_SLOT`` term products per coefficient
 slot of the result, goes to ``_mul_packed`` (Kronecker substitution): each
 operand is packed into one Python int, the ints are multiplied, and the
 result is decoded once.  When every term of each operand has one parity of
-e_v + e_s, as every Jacobi-Trudy entry does, only every other slot can be
-occupied, and the kernel packs those alone: both ints and the decode are
-half as long.  Every other product goes to the term loop ``_addmul``
-(acc += a * b), and exact division to ``_div_terms_1var``, one sweep down
-the dividend's exponents over a dense remainder list, both over int-keyed
-term dicts.  For those two, two-variable terms are keyed ``(e_v, e_s)`` and
-cut into v-slices ``{e_v: {e_s: c}}`` per call: a product multiplies slice
-pairs, and an exact quotient is long division in v, one slice division per
-step.  Values are stored as term dicts either way; packing lives only
-inside one multiply.
+e_v + e_s, as every Jacobi-Trudy entry and Giambelli hook value does, only
+every other slot can be occupied, and the kernel packs those alone: both
+ints and the decode are half as long.  Every other product goes to the term
+loop ``_addmul`` (acc += a * b), and exact division to ``_div_terms_1var``,
+one sweep down the dividend's exponents over a dense remainder list, both
+over int-keyed term dicts.  For those two, two-variable terms are keyed
+``(e_v, e_s)`` and cut into v-slices ``{e_v: {e_s: c}}`` per call: a
+product multiplies slice pairs, and an exact quotient is long division in
+v, one slice division per step.  Values are stored as term dicts either
+way; packing lives only inside one multiply.
 
 Denominators: ``_lift`` rewrites a numerator over a bracket multiset
 whose product the numerator's own bracket product divides.  Over a larger

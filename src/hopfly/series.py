@@ -3,8 +3,10 @@
 A series is a finite coefficient list e_0, ..., e_D; arithmetic never reads
 past the truncation degree, and products truncate to the smaller degree of
 the factors.  Schur functions are read off from series coefficients by the
-Jacobi-Trudy determinant; ``h_form_is_smaller`` picks which of its two
-orientations the callers build.
+Jacobi-Trudy determinant, of order mu_1 or l(mu), or by the Giambelli
+determinant, of order d(mu), the Frobenius rank, whose entries are hook
+Schur values summed from both series.  ``h_form_is_smaller`` picks which
+Jacobi-Trudy orientation the callers build.
 """
 
 from __future__ import annotations
@@ -114,7 +116,8 @@ class TruncatedSeries:
 
 
 def required_degree(mu: Partition) -> int:
-    """Largest series coefficient the Jacobi-Trudy determinant for mu reads."""
+    """Largest series coefficient that a Jacobi-Trudy or Giambelli
+    determinant for mu reads."""
     if mu.size == 0:
         return 0
     return mu.length + mu.parts[0] - 1
@@ -153,3 +156,37 @@ def schur_of_series(mu: Partition, series: TruncatedSeries) -> RingElem:
     ]
     return det_fractions(matrix)
 
+
+def schur_by_giambelli(mu: Partition, e: TruncatedSeries, h: TruncatedSeries) -> RingElem:
+    """Giambelli determinant det(s_(alpha_i | beta_j)) of order d(mu), where
+    (alpha | beta) = ``mu.frobenius()`` (Macdonald I.3 Ex. 9).
+
+    e holds the elementary coefficients e_k and h the complete ones h_k of
+    H(t) = 1 / E(-t).  Each hook value s_(a|b) is the shorter of two
+    alternating sums, added up by ``sum_of_products``:
+
+        b <= a:  sum_(k=0..b) (-1)**k h_(a+1+k) e_(b-k)
+        b > a:   sum_(k=0..a) (-1)**k e_(b+1+k) h_(a-k)
+
+    Both read at most coefficient a + b + 1 <= ``required_degree(mu)``.
+    """
+    nvars = e.coeffs[0].num.nvars
+    if mu.size == 0:
+        return RingElem(LaurentPoly.one(nvars))
+    needed = required_degree(mu)
+    if needed > min(e.degree, h.degree):
+        raise ValueError(
+            f"Giambelli extraction for {mu} needs degree {needed}, "
+            f"series have {e.degree} and {h.degree}"
+        )
+    e, h = e.coeffs, h.coeffs
+
+    def hook(a: int, b: int) -> RingElem:
+        if b <= a:
+            pairs = [(h[a + 1 + k], e[b - k]) for k in range(b + 1)]
+        else:
+            pairs = [(e[b + 1 + k], h[a - k]) for k in range(a + 1)]
+        return sum_of_products(((x, -y if k % 2 else y) for k, (x, y) in enumerate(pairs)), nvars)
+
+    arms, legs = mu.frobenius()
+    return det_fractions([[hook(a, b) for b in legs] for a in arms])

@@ -152,6 +152,13 @@ class TestErrorHandling:
         assert code == 2
         assert "error" in err
 
+    def test_part_too_large_to_index_is_usage_error(self, capsys):
+        # [0] * 10**20 overflows at once, before anything is allocated
+        code, out, err = run_cli(capsys, "hopf", "--lambda", "99999999999999999999", "--mu", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_failed_identity_exits_1(self, capsys, monkeypatch):
         hopf._hopf_value.cache_clear()
         # RingElem.over divides each v-slice by one bracket at a time

@@ -265,24 +265,36 @@ class TestHopfInvariant:
                 assert conjugated == sigma(hopf_invariant(lam, mu)), (lam, mu)
         assert pairs == 361
 
-    @pytest.mark.parametrize("lam, mu, order", [
-        ((1,), (13,), 1),
-        ((8, 6, 4, 2), (7, 5, 3, 1), 4),
-        ((6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1), 6),  # a tie: order 6 either way
+    @pytest.mark.parametrize("lam, mu, form, order", [
+        ((1,), (13,), "jacobi-trudy", 1),  # a tie: d(mu) = l(mu) = 1
+        ((2, 2), (2, 2), "jacobi-trudy", 2),  # a tie: order 2 every way
+        ((3, 3), (5, 4, 2), "giambelli", 2),
+        ((8, 6, 4, 2), (7, 5, 3, 1), "giambelli", 3),
+        ((6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1), "giambelli", 3),
     ])
-    def test_jacobi_trudy_order_is_the_smaller_one(self, monkeypatch, lam, mu, order):
-        # The pairing builds one Jacobi-Trudy matrix; stop once its order is
-        # known, since the staircase determinant itself takes seconds.
+    def test_schur_side_takes_the_smallest_order(self, monkeypatch, lam, mu, form, order):
+        # The pairing builds one determinant; stop once its form and order
+        # are known, since the staircase determinant itself takes a while.
         class Built(Exception):
             pass
+
+        forms = []
+
+        def tagged(name, fn):
+            def call(*args):
+                forms.append(name)
+                return fn(*args)
+            return call
 
         def recording(matrix):
             raise Built(len(matrix))
 
+        for name, attr in (("jacobi-trudy", "schur_of_series"), ("giambelli", "schur_by_giambelli")):
+            monkeypatch.setattr(hopf, attr, tagged(name, getattr(hopf, attr)))
         monkeypatch.setattr(ring, "determinant", recording)
         with pytest.raises(Built) as built:
             hopf._hopf_value.__wrapped__(Partition(lam), Partition(mu))
-        assert built.value.args == (order,)
+        assert (forms, built.value.args) == ([form], (order,))
 
     def test_pairing_is_written_over_both_hook_multisets(self):
         for lam in partitions_up_to(5):

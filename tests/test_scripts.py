@@ -1,5 +1,7 @@
-"""Smoke tests: the scripts under scripts/ run to completion."""
+"""Smoke tests: the scripts under scripts/ run to completion, and the
+mutation table still matches the source."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -28,3 +30,18 @@ def test_script_exits_cleanly(argv):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_mutant_snippet_occurs_once_in_src():
+    # scripts/mutants.py runs each mutant against a copy of src/; this keeps
+    # its table from rotting without running it
+    spec = importlib.util.spec_from_file_location(
+        "mutants", os.path.join(ROOT, "scripts", "mutants.py"))
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(set(names)) == len(names)
+    for m in mutants.MUTANTS:
+        with open(os.path.join(ROOT, m.path), encoding="utf-8") as fh:
+            assert fh.read().count(m.snippet) == 1, m.name
+        assert m.replacement != m.snippet and m.tests, m.name

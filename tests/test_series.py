@@ -3,7 +3,13 @@ from hypothesis import given, settings, strategies as st
 
 from hopfly.ring import LaurentPoly, RingElem, det_fractions, format_ring_elem
 from hopfly.partitions import EMPTY, Partition, partitions_up_to
-from hopfly.series import TruncatedSeries, h_form_is_smaller, required_degree, schur_of_series
+from hopfly.series import (
+    TruncatedSeries,
+    h_form_is_smaller,
+    required_degree,
+    schur_by_giambelli,
+    schur_of_series,
+)
 from hopfly.hopf import complete_series, elementary_series, times_factors
 
 P2 = LaurentPoly
@@ -232,7 +238,10 @@ class TestSchurOfSeries:
 
 class TestJacobiTrudyDuality:
     def test_e_form_equals_h_form(self):
-        # s_mu(E_lam) two ways: order mu_1 on E_lam, order l(mu) on H_lam = 1/E_lam(-t)
+        # s_mu(E_lam) three ways: order mu_1 on E_lam, order l(mu) on
+        # H_lam = 1/E_lam(-t), and Giambelli's order d(mu) on both, so every
+        # printed pairing with |lam|, |mu| <= 5 has two routes whichever
+        # form the pairing takes
         pairs = 0
         for lam in partitions_up_to(5):
             for mu in partitions_up_to(5):
@@ -240,12 +249,14 @@ class TestJacobiTrudyDuality:
                     continue
                 pairs += 1
                 degree = required_degree(mu)
-                e_form = schur_of_series(mu, elementary_series(lam, degree))
-                h_form = schur_of_series(mu.conjugate(), complete_series(lam, degree))
-                assert e_form == h_form, (lam, mu)
-                # each orientation's brackets cancel down to hooks(mu)
-                e_text = format_ring_elem(e_form.over(mu.hooks()))
-                assert e_text == format_ring_elem(h_form.over(mu.hooks())), (lam, mu)
+                e, h = elementary_series(lam, degree), complete_series(lam, degree)
+                e_form = schur_of_series(mu, e)
+                h_form = schur_of_series(mu.conjugate(), h)
+                giambelli = schur_by_giambelli(mu, e, h)
+                assert e_form == h_form == giambelli, (lam, mu)
+                # each form's brackets cancel down to hooks(mu)
+                texts = {format_ring_elem(x.over(mu.hooks())) for x in (e_form, h_form, giambelli)}
+                assert len(texts) == 1, (lam, mu)
         assert pairs == 342
 
     def test_h_form_only_when_strictly_smaller(self):
@@ -256,6 +267,47 @@ class TestJacobiTrudyDuality:
         assert not h_form_is_smaller(Partition((6, 5, 4, 3, 2, 1)))
         assert h_form_is_smaller(Partition((13,)))
         assert h_form_is_smaller(Partition((7, 5, 3, 1)))
+
+
+class TestGiambelli:
+    def test_hook_values_match_jacobi_trudy(self):
+        # s_(a|b) by its shorter alternating sum: b <= a sums h_(a+1+k) e_(b-k),
+        # b > a sums e_(b+1+k) h_(a-k); the 5 x 5 grid has both and a = b
+        for lam in (EMPTY, Partition((2, 1)), Partition((3, 1, 1))):
+            for a in range(5):
+                for b in range(5):
+                    mu = Partition((a + 1,) + (1,) * b)
+                    assert mu.frobenius() == ((a,), (b,))
+                    degree = required_degree(mu)
+                    e = elementary_series(lam, degree)
+                    h = complete_series(lam, degree)
+                    assert schur_by_giambelli(mu, e, h) == schur_of_series(mu, e), (lam, a, b)
+
+    def test_empty_is_one(self):
+        assert schur_by_giambelli(EMPTY, TruncatedSeries.one(0), TruncatedSeries.one(0)) == 1
+
+    def test_degree_beyond_truncation_raises(self):
+        mu = Partition((2, 2))  # reads coefficient 3 of both series
+        e = elementary_series(EMPTY, 3)
+        with pytest.raises(ValueError):
+            schur_by_giambelli(mu, e, complete_series(EMPTY, 2))
+
+    @pytest.mark.parametrize("lam, mu", [
+        ((8, 6, 4, 2), (7, 5, 3, 1)),
+        ((1,), (13,)),
+        ((3, 3), (5, 4, 2)),
+        ((5, 3, 2, 1), (4, 3, 1)),
+        ((5, 5, 1), (3, 3, 3, 2)),
+        ((6, 5, 4, 3, 2, 1), (6, 5, 4, 3, 2, 1)),
+    ])
+    def test_giambelli_equals_both_orientations_on_large_shapes(self, lam, mu):
+        # the pairs with |lam|, |mu| <= 5 are in TestJacobiTrudyDuality
+        lam, mu = Partition(lam), Partition(mu)
+        degree = required_degree(mu)
+        e, h = elementary_series(lam, degree), complete_series(lam, degree)
+        values = (schur_by_giambelli(mu, e, h), schur_of_series(mu, e),
+                  schur_of_series(mu.conjugate(), h))
+        assert len({format_ring_elem(x.over(mu.hooks())) for x in values}) == 1
 
 
 class TestSchurClassical:
