@@ -108,6 +108,30 @@ MUTANTS = (
         ("tests/test_ring.py::test_packed_mul_at_slot_width_bound",
          "tests/test_ring.py::test_packed_mul_matches_term_loop"),
     ),
+    Mutant(
+        "lattice-step-on-a-mixed-axis", "src/hopfly/ring.py",
+        "hs = int(_one_parity(sa_all) and _one_parity(sb_all))",
+        "hs = int(_one_parity(sa_all) or _one_parity(sb_all))",
+        ("tests/test_ring.py::test_packed_mul_matches_term_loop",
+         "tests/test_ring.py::test_mixed_parity_products_take_full_layout"),
+    ),
+    Mutant(
+        "monomial-operand-not-scaled", "src/hopfly/ring.py",
+        "{(ev + v0, es + s0): c * c0 for", "{(ev + v0, es + s0): c for",
+        ("tests/test_ring.py::test_sparse_products_stay_on_term_loop",),
+    ),
+    # the packed RingElem.over
+    Mutant(
+        "packed-over-skips-row-room-check", "src/hopfly/ring.py",
+        "if top and any(", "if False and any(",
+        ("tests/test_ring.py::test_quotient_rows_that_reach_the_next_row_take_the_sweep",),
+    ),
+    Mutant(
+        "packed-over-digit-bound-one-bit-loose", "src/hopfly/ring.py",
+        "<< len(downs) >= 1 << bits - 1:", "<< len(downs) >= 1 << bits:",
+        ("tests/test_ring.py::test_quotient_too_wide_for_its_slots_takes_the_sweep",
+         "tests/test_ring.py::test_packed_over_matches_slice_sweep"),
+    ),
     # the sl(N) minor route
     Mutant(
         "hook-content-extra-s-squared", "src/hopfly/sln.py",

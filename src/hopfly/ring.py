@@ -13,21 +13,26 @@ Two value types live here:
   Equality never depends on normalisation: two elements are equal iff they
   agree after cross multiplication.
 
-Kernels: two multiply and one divides.  A product of dense operands, with
-at least ``_PACKED_MIN_PRODUCTS_PER_SLOT`` term products per coefficient
-slot of the result, goes to ``_mul_packed`` (Kronecker substitution): each
-operand is packed into one Python int, the ints are multiplied, and the
-result is decoded once.  When every term of each operand has one parity of
-e_v + e_s, as every Jacobi-Trudy entry and Giambelli hook value does, only
-every other slot can be occupied, and the kernel packs those alone: both
-ints and the decode are half as long.  Every other product goes to the term
-loop ``_addmul`` (acc += a * b), and exact division to ``_div_terms_1var``,
-one sweep down the dividend's exponents over a dense remainder list, both
-over int-keyed term dicts.  For those two, two-variable terms are keyed
-``(e_v, e_s)`` and cut into v-slices ``{e_v: {e_s: c}}`` per call: a
-product multiplies slice pairs, and an exact quotient is long division in
-v, one slice division per step.  Values are stored as term dicts either
-way; packing lives only inside one multiply.
+Kernels: two multiply and one divides.  A product with a one-term operand
+shifts the other operand's keys and scales its coefficients.  A product of
+dense operands, with at least ``_PACKED_MIN_PRODUCTS_PER_SLOT`` term
+products per coefficient slot of the result, goes to ``_mul_packed``
+(Kronecker substitution): each operand is packed into one Python int, the
+ints are multiplied, and the result is decoded once.  Each exponent axis
+whose exponents have one parity within each operand is packed at step 2,
+and when every term of each operand then has one parity of the packed
+e_v + e_s, only every other slot can be occupied, and the kernel packs
+those alone.  Every Jacobi-Trudy entry and Giambelli hook value lies on a
+coset of 2Z x 2Z, so those products pack a quarter of their exponent box;
+a checkerboard of e_v + e_s, and a one-variable product of one parity,
+pack half.  Every other product goes to the term loop ``_addmul``
+(acc += a * b), and exact division to ``_div_terms_1var``, one sweep down
+the dividend's exponents over a dense remainder list, both over int-keyed
+term dicts.  For those two, two-variable terms are keyed ``(e_v, e_s)``
+and cut into v-slices ``{e_v: {e_s: c}}`` per call: a product multiplies
+slice pairs, and an exact quotient is long division in v, one slice
+division per step.  Values are stored as term dicts either way; packing
+lives only inside one multiply or one ``RingElem.over``.
 
 Denominators: ``_lift`` rewrites a numerator over a bracket multiset
 whose product the numerator's own bracket product divides.  Over a larger
@@ -44,8 +49,12 @@ value over a given multiset, shifting in the brackets the value lacks and
 dividing out the excess ones exactly.  It forms that memoised quotient, the
 closed forms of the sl(N) minor route, whose factors q**k - 1 are
 s**k [k], and every printed value, whose denominator a theorem fixes: a
-pairing is over hooks(lam) + hooks(mu), an sl(N) value over no bracket.  A
-bracket that does not divide exactly raises ``ConsistencyError``.
+pairing is over hooks(lam) + hooks(mu), an sl(N) value over no bracket.
+It packs the numerator once (``_over_packed``): each missing bracket is a
+shift-subtract of the packed int, and one integer ``divmod`` divides by
+all the excess ones; a decode it cannot vouch for falls back to dividing
+each v-slice by one bracket at a time.  A bracket that does not divide
+exactly raises ``ConsistencyError``.
 
 Determinants: memoised minor expansion on the column set, for every matrix
 the library builds.  Fraction-free Bareiss elimination (``_det_bareiss``)
@@ -181,18 +190,16 @@ def _div_terms_2var(num: dict, den: dict) -> Optional[dict]:
 
 
 # Least number of term products per slot of the packed product (counting
-# halved slots when both operands have one parity) at which ``_mul_packed``
-# replaces the term loop.  Each product of each default-seed benchmark
-# workload was timed on both kernels (replayed operands, best of 5 per
-# product, Python 3.11.7, shared 2-vCPU host), and each threshold charged
-# the kernel it picks.  Against the term loop alone, thresholds 1, 2, 3, 4
-# and 6 saved 3.11, 3.11, 3.10, 3.10 and 3.09 s of ladder's 3.47 s;
-# -0.075, 0.036, 0.036, 0.036 and 0.032 s of sln's 0.112 s; and 0.19, 0.34,
-# 0.21, 0.10 and 0.02 s of verify's 1.97 s.  Verify's bracket products of a
-# few hundred to a few thousand term products already run about twice as
-# fast packed at 2 to 4 products per slot; at 1, products of under about
-# 100 term products get packed too, and there the packing's fixed cost of
-# some 25 us exceeds the term loop.
+# the slots of its compressed, possibly halved layout) at which
+# ``_mul_packed`` replaces the term loop.  Each product of two operands of
+# at least two terms, in each default-seed benchmark workload, was timed on
+# both kernels (replayed operands, best of 5 per product, Python 3.11.7,
+# shared 2-vCPU host), and each threshold charged the kernel it picks.
+# Against the term loop alone, thresholds 1, 1.5, 2, 3 and 4 saved 1.499,
+# 1.500, 1.500, 1.499 and 1.498 s of ladder's 1.605 s; 0.010 s of sln's
+# 0.016 s at each; and 0.851, 0.875, 0.890, 0.883 and 0.851 s of verify's
+# 1.413 s.  Below 2, verify's products of under about 100 term products
+# get packed, and there the packing's fixed cost exceeds the term loop.
 _PACKED_MIN_PRODUCTS_PER_SLOT = 2
 
 # Translation table from the top byte of a two's-complement slot to the
@@ -201,17 +208,37 @@ _SIGN_BYTE = bytes(0xFF if b & 0x80 else 0 for b in range(256))
 
 
 def _pack(keys: list, coeffs, w: int) -> int:
-    """Sum of c * 2**(8*w*k) over the slot indices k and coefficients c."""
-    size = (max(keys) + 1) * w
-    pos = bytearray(size)
-    neg = bytearray(size)
+    """Sum of c * 2**(8*w*k) over the distinct slot indices k and the
+    coefficients c, each strictly between -2**(8*w-1) and 2**(8*w-1).
+
+    For w <= 8 each slot holds c + 2**(8*w-1), a nonnegative digit, in one
+    array of eight-byte words, narrowed to w bytes a byte plane at a time;
+    one subtraction of the bias from the whole integer undoes the shift.
+    Wider slots are written one ``to_bytes`` slice per term."""
+    n = max(keys) + 1
+    if w > 8:
+        pos = bytearray(n * w)
+        neg = bytearray(n * w)
+        for k, c in zip(keys, coeffs):
+            o = k * w
+            if c > 0:
+                pos[o:o + w] = c.to_bytes(w, "little")
+            else:
+                neg[o:o + w] = (-c).to_bytes(w, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    half = 1 << (8 * w - 1)
+    slots = array.array("Q", (half,)) * n
     for k, c in zip(keys, coeffs):
-        o = k * w
-        if c > 0:
-            pos[o:o + w] = c.to_bytes(w, "little")
-        else:
-            neg[o:o + w] = (-c).to_bytes(w, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        slots[k] = c + half
+    if sys.byteorder == "big":
+        slots.byteswap()
+    raw = slots.tobytes()
+    if w < 8:
+        buf = bytearray(n * w)
+        for j in range(w):
+            buf[j::w] = raw[j::8]
+        raw = buf
+    return int.from_bytes(raw, "little") - int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
 
 
 def _unpack(p: int, w: int, n: int) -> list:
@@ -250,12 +277,18 @@ def _mul_packed(a: dict, b: dict, nvars: int) -> Optional[dict]:
     Each operand, shifted to exponents >= 0, becomes one integer with a
     slot of w bytes per exponent (per (e_v, e_s) pair, s varying fastest
     with an odd stride above the product's s-span); one integer product
-    and one decode give every coefficient.  When each operand's slot
-    indices share one parity, which the odd stride makes true whenever
-    e_v + e_s does, slot k is packed at k >> 1: the two integers and the
-    decode are halved, and product slot i is index 2i + p_a + p_b.  A
-    product coefficient sums at most min(#a, #b) term products, which
-    bounds it and so fixes w.
+    and one decode give every coefficient.  In two variables each axis is
+    first compressed by its step: 2 when every exponent on it has one
+    parity within each operand, so that the product's exponents on it do
+    too, else 1.  Then, when each operand's slot indices share one parity,
+    which the odd stride makes true whenever e_v + e_s does on the
+    compressed lattice, slot k is packed at k >> 1: the two integers and
+    the decode are halved, and product slot i is index 2i + p_a + p_b.  So
+    a product on a coset of 2Z x 2Z, as every Jacobi-Trudy entry and
+    Giambelli hook value is, packs a quarter of its exponent box, and one
+    of one parity of e_v + e_s alone (a checkerboard) or in one variable
+    half of it.  A product coefficient sums at most min(#a, #b) term
+    products, which bounds it and so fixes w.
     """
     na, nb = len(a), len(b)
     per_slot = _PACKED_MIN_PRODUCTS_PER_SLOT
@@ -276,16 +309,19 @@ def _mul_packed(a: dict, b: dict, nvars: int) -> Optional[dict]:
     else:
         va_all, sa_all = zip(*a)
         vb_all, sb_all = zip(*b)
+        # hv, hs: log2 of the step on each axis
+        hv = int(_one_parity(va_all) and _one_parity(vb_all))
+        hs = int(_one_parity(sa_all) and _one_parity(sb_all))
         va, vb, sa0, sb0 = min(va_all), min(vb_all), min(sa_all), min(sb_all)
-        stride = (max(sa_all) - sa0 + max(sb_all) - sb0 + 1) | 1
-        rows = max(va_all) - va + max(vb_all) - vb + 1
+        stride = ((max(sa_all) - sa0 + max(sb_all) - sb0 >> hs) + 1) | 1
+        rows = (max(va_all) - va + max(vb_all) - vb >> hv) + 1
         n = rows * stride
         if na * nb < per_slot * ((n + 1) // 2):
             return None
-        keys = itertools.product(range(va + vb, va + vb + rows),
-                                 range(sa0 + sb0, sa0 + sb0 + stride))
-        ka = [(ev - va) * stride + es - sa0 for ev, es in a]
-        kb = [(ev - vb) * stride + es - sb0 for ev, es in b]
+        keys = itertools.product(range(va + vb, va + vb + (rows << hv), 1 << hv),
+                                 range(sa0 + sb0, sa0 + sb0 + (stride << hs), 1 << hs))
+        ka = [(ev - va >> hv) * stride + (es - sa0 >> hs) for ev, es in a]
+        kb = [(ev - vb >> hv) * stride + (es - sb0 >> hs) for ev, es in b]
     if _one_parity(ka) and _one_parity(kb):
         keys = itertools.islice(keys, (ka[0] & 1) + (kb[0] & 1), None, 2)
         ka = [k >> 1 for k in ka]
@@ -427,6 +463,16 @@ class LaurentPoly:
             return _from_terms({e: c * other for e, c in self._terms.items()}, self.nvars)
         if not isinstance(other, LaurentPoly) or other.nvars != self.nvars:
             return NotImplemented
+        if len(other._terms) == 1 or len(self._terms) == 1:
+            # a monomial operand: shift the other's keys and scale
+            big, mono = (self, other) if len(other._terms) == 1 else (other, self)
+            ((e0, c0),) = mono._terms.items()
+            if self.nvars == 1:
+                data = {e + e0: c * c0 for e, c in big._terms.items()}
+            else:
+                v0, s0 = e0
+                data = {(ev + v0, es + s0): c * c0 for (ev, es), c in big._terms.items()}
+            return _from_terms(data, self.nvars)
         data = _mul_packed(self._terms, other._terms, self.nvars)
         if data is None and self.nvars == 1:
             data = {}
@@ -507,6 +553,72 @@ def _times_bracket(terms: dict, k: int, nvars: int) -> dict:
             else:
                 del out[e]
     return out
+
+
+def _over_packed(terms: dict, nvars: int, missing: list, excess: list, den: tuple) -> Optional[dict]:
+    """Terms of terms * prod [k] over missing / prod [k] over excess, on one
+    packed integer, or None when its decode cannot be trusted.
+
+    The numerator is packed once: a row of ``stride`` slots per distinct
+    v-exponent, the s-axis compressed by its step g (2 when every
+    s-exponent has one parity, else 1) as in ``_mul_packed``, and room in
+    each row for the lifts.  [k] is s**-k times (s**g)**(2k/g) - 1, so
+    with B = 2**(8*w) each missing bracket is the shift-subtract
+    p = p * B**(2k/g) - p, and the excess brackets are one ``divmod`` by
+    prod (B**(2k/g) - 1).  A nonzero remainder proves that they do not
+    divide and raises ``ConsistencyError``.  With a zero remainder the
+    decoded quotient q is accepted only when max|q| * 2**#excess < B/2,
+    where w also puts the lifted numerator's slots, and when each row's
+    top sum(2k/g) slots are zero.  Then q times the excess brackets has
+    coefficients inside +-B/2 and the lifted numerator's value, so it has
+    its slots, row by row, and q is the exact quotient.  Otherwise the
+    caller's slice sweep decides.
+    """
+    if nvars == 2:
+        v_all, s_all = zip(*terms)
+    else:
+        v_all, s_all = (0,), tuple(terms)
+    hs = int(_one_parity(s_all))
+    s0 = min(s_all)
+    ups = [2 * k >> hs for k in missing]
+    downs = [2 * k >> hs for k in excess]
+    stride = (max(s_all) - s0 >> hs) + 1 + sum(ups)
+    vs = sorted(set(v_all))
+    # w leaves the quotient 2 bits per excess bracket to outgrow the
+    # numerator by, plus the 1 bit per bracket that the check needs.  That
+    # covers every pairing of the benchmark's ladder pairs and their sl(N)
+    # values up to N = 13.  The growth rises with N, to about 3 bits per
+    # bracket at N = 60, and a quotient past it takes the sweep.
+    w = (max(map(abs, terms.values())) << len(ups) + 3 * len(downs)).bit_length() // 8 + 1
+    bits = 8 * w
+    if nvars == 2:
+        row = {v: i * stride for i, v in enumerate(vs)}
+        keys = [row[ev] + (es - s0 >> hs) for ev, es in terms]
+    else:
+        keys = [es - s0 >> hs for es in terms]
+    p = _pack(keys, terms.values(), w)
+    for m in ups:
+        p = (p << bits * m) - p
+    if downs:
+        d = 1
+        for m in downs:
+            d = (d << bits * m) - d
+        p, r = divmod(p, d)
+        if r:
+            brackets = "".join(f"[{k}]" for k in excess)
+            raise ConsistencyError(f"{brackets} does not divide the numerator over {den}")
+    # p fits n signed slots, and d >= B - 1 makes |q| far smaller, so q does
+    n = len(vs) * stride
+    slots = _unpack(p, w, n)
+    if max(max(slots), -min(slots)) << len(downs) >= 1 << bits - 1:
+        return None  # a coefficient of q may have wrapped
+    top = sum(downs)
+    if top and any(any(slots[i - top:i]) for i in range(stride, n + 1, stride)):
+        return None  # a row of q times the brackets would reach the next row
+    s_low = s0 - sum(missing) + sum(excess)
+    s_keys = range(s_low, s_low + (stride << hs), 1 << hs)
+    keys = s_keys if nvars == 1 else itertools.product(vs, s_keys)
+    return dict(zip(itertools.compress(keys, slots), itertools.compress(slots, slots)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -661,14 +773,26 @@ class RingElem:
         brackets it lacks are multiplied in, then each excess one is divided
         out, largest first.  Raises ``ConsistencyError`` if one does not divide.
 
-        A bracket has no v, so each v-slice of the numerator is divided on
-        its own, by every excess bracket in turn, and the numerator is
-        sliced and flattened once.
+        A nonzero numerator is rewritten on one packed integer by
+        ``_over_packed``: a shift-subtract per missing bracket and one
+        integer division by the excess ones.  Replaying every ``over`` call
+        of the three default-seed benchmark workloads and of ``hopfly minor``
+        at N = 40, packing was faster than the sweep at every numerator size
+        from 1 term up, so no size threshold gates it.  A quotient that
+        fails its checks takes the slice sweep: a bracket has no v, so each
+        v-slice of the lifted numerator is divided on its own, by every
+        excess bracket in turn, and the numerator is sliced and flattened
+        once.
         """
         want = Counter(brackets)
         have = Counter(self.den)
-        num = _lift(self, have | want)
         excess = sorted((have - want).elements(), reverse=True)
+        missing = list((want - have).elements())
+        if self.num and (missing or excess):
+            data = _over_packed(self.num._terms, self.num.nvars, missing, excess, self.den)
+            if data is not None:
+                return RingElem(_from_terms(data, self.num.nvars), tuple(want.elements()))
+        num = _lift(self, have | want)
         if excess:
             nvars = num.nvars
             slices = _slices(num._terms) if nvars == 2 else {0: num._terms}

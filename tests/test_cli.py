@@ -161,7 +161,9 @@ class TestErrorHandling:
 
     def test_failed_identity_exits_1(self, capsys, monkeypatch):
         hopf._hopf_value.cache_clear()
-        # RingElem.over divides each v-slice by one bracket at a time
+        # RingElem.over falls back to dividing each v-slice by one bracket
+        # at a time when its packed quotient is declined
+        monkeypatch.setattr(ring, "_over_packed", lambda *args: None)
         monkeypatch.setattr(ring, "_div_terms_1var", lambda num, den: None)
         code, out, err = run_cli(capsys, "hopf", "--lambda", "2,1", "--mu", "2,1")
         assert code == 1

@@ -484,9 +484,27 @@ def test_packed_mul_at_slot_width_bound(na, nb, ca, cb):
 def test_sparse_products_stay_on_term_loop(monkeypatch):
     dense = eval_unknot(Partition((4, 3, 2, 1))).num
     calls = packed_calls(monkeypatch)
-    P2.monomial(3, 1, -2) * dense
-    dense * P2.monomial(1, 0, 5)
-    assert calls and not any(calls)
+    looped = []
+    real_addmul = ring._addmul
+
+    def addmul_spy(acc, a, b):
+        looped.append((len(a), len(b)))
+        real_addmul(acc, a, b)
+
+    monkeypatch.setattr(ring, "_addmul", addmul_spy)
+    # a monomial operand is a shift of the other's keys and a scale: no kernel
+    terms = dict(dense.items())
+    assert dict((P2.monomial(3, 1, -2) * dense).items()) == \
+        {(ev + 1, es - 2): 3 * c for (ev, es), c in terms.items()}
+    assert dict((dense * P2.monomial(-1, 0, 5)).items()) == \
+        {(ev, es + 5): -c for (ev, es), c in terms.items()}
+    assert dict((P1({1: 2, 4: -1}) * P1({-3: 5})).items()) == {-2: 10, 1: -5}
+    assert calls == [] and looped == []
+    # a binomial operand is too sparse to pack
+    binomial = P2.monomial(1, 1, 1) - P2.monomial(1, 0, -1)
+    product = binomial * dense
+    assert calls == [False] and looped
+    assert product == P2.monomial(1, 1, 1) * dense - P2.monomial(1, 0, -1) * dense
 
 
 def test_ladder_size_product_is_packed(monkeypatch):
@@ -500,7 +518,7 @@ def test_ladder_size_product_is_packed(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# parity-halved packed products
+# packed products on the compressed exponent lattice
 
 
 def decoded_slots(mp):
@@ -516,39 +534,73 @@ def decoded_slots(mp):
     return seen
 
 
+def spans(p):
+    """Exponent spans of p: (span_s,) or (span_v, span_s)."""
+    keys = [e if p.nvars == 2 else (e,) for e in dict(p.items())]
+    return [max(e[i] for e in keys) - min(e[i] for e in keys) for i in range(p.nvars)]
+
+
 def full_layout_slots(a, b):
     """Slots of the unhalved layout: the product's exponent box, with s
     varying fastest at an odd stride in two variables."""
-    ea, eb = list(dict(a.items())), list(dict(b.items()))
+    span = [x + y for x, y in zip(spans(a), spans(b))]
     if a.nvars == 1:
-        return max(ea) - min(ea) + max(eb) - min(eb) + 1
-    span = [max(e[i] for e in keys) - min(e[i] for e in keys) for keys in (ea, eb) for i in (0, 1)]
-    return (span[0] + span[2] + 1) * ((span[1] + span[3] + 1) | 1)
+        return span[0] + 1
+    return (span[0] + 1) * ((span[1] + 1) | 1)
+
+
+def lattice_layout_slots(a, b):
+    """Slots of the two-variable layout with both axes compressed by 2: a
+    quarter of the exponent box, with an odd stride."""
+    span = [x + y for x, y in zip(spans(a), spans(b))]
+    assert span[0] % 2 == span[1] % 2 == 0
+    return (span[0] // 2 + 1) * ((span[1] // 2 + 1) | 1)
+
+
+COEFF_BOUNDS = (3, 2 ** 20, 2 ** 30, 2 ** 70)  # 2**30 lets slots reach 8 and 9 bytes
 
 
 @st.composite
-def one_parity_poly(draw, nvars, parity):
-    """1 to 12 terms with e_v + e_s of the given parity (e_v = 0 in one
-    variable), in a box at a random offset of either parity, coefficients
-    up to 2**70 in size."""
+def one_parity_poly(draw, nvars, parity, lattice=False):
+    """2 to 13 terms with e_v + e_s of the given parity (e_v = 0 in one
+    variable), in a box at an offset from -7 up of either parity, nonzero
+    coefficients up to one of ``COEFF_BOUNDS`` in size.  Two-variable
+    terms lie on one coset of 2Z x 2Z when ``lattice``, with e_v / 2 taking
+    both parities there, and otherwise take both parities of e_v."""
+    bound = draw(st.sampled_from(COEFF_BOUNDS))
+    coeff = st.integers(-bound, bound).filter(bool)
     ov, os = draw(st.integers(-7, 7)), draw(st.integers(-7, 7))
-    terms = []
-    for _ in range(draw(st.integers(1, 12))):
-        ev = 0 if nvars == 1 else ov + draw(st.integers(0, 4))
-        es = os + draw(st.integers(0, 8))
-        es += (ev + es + parity) % 2
-        c = draw(st.integers(-2 ** 70, 2 ** 70).filter(bool))
-        terms.append((es if nvars == 1 else (ev, es), c))
-    return LaurentPoly(terms, nvars)
+    if nvars == 1:
+        os += (os + parity) % 2
+        keys = [os, os + 2] + [os + 2 * draw(st.integers(0, 4))
+                               for _ in range(draw(st.integers(0, 11)))]
+    else:
+        os += (ov + os + parity) % 2
+        if lattice:
+            keys = [(ov, os), (ov + 2, os)] + [
+                (ov + 2 * draw(st.integers(0, 2)), os + 2 * draw(st.integers(0, 4)))
+                for _ in range(draw(st.integers(0, 11)))]
+        else:
+            keys = [(ov, os), (ov + 1, os + 1)]
+            for _ in range(draw(st.integers(0, 11))):
+                ev, es = ov + draw(st.integers(0, 4)), os + draw(st.integers(0, 8))
+                keys.append((ev, es + (ev + es + parity) % 2))
+    return LaurentPoly({k: draw(coeff) for k in keys}, nvars)
 
 
 @st.composite
 def mixed_parity_poly(draw, nvars):
-    """A one-parity polynomial plus one term of the other parity."""
+    """A one-parity polynomial with one or two terms set beside its least
+    key, so that it takes both parities of e_v + e_s and, in two
+    variables, of e_v and of e_s."""
     parity = draw(st.integers(0, 1))
-    p = draw(one_parity_poly(nvars, parity))
-    es = 2 * draw(st.integers(-5, 5)) + 1 - parity
-    return p + LaurentPoly.monomial(draw(st.integers(-3, 3).filter(bool)), s=es, nvars=nvars)
+    terms = dict(draw(one_parity_poly(nvars, parity)).items())
+    low = min(terms)
+    step = ((1,) if nvars == 1 else ((1, 0), (0, 1)))
+    for d in step:
+        key = low + d if nvars == 1 else (low[0] + d[0], low[1] + d[1])
+        terms[key] = draw(st.integers(-3, 3).filter(bool))
+    return LaurentPoly(terms, nvars)
 
 
 def packed_layout(a, b):
@@ -560,13 +612,32 @@ def packed_layout(a, b):
     return slots
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_one_parity_products_take_halved_layout(data):
+    # On a coset of 2Z x 2Z in both operands the product packs a quarter
+    # of its exponent box; with e_v + e_s of one parity alone, or in one
+    # variable, half of it.
     nvars = data.draw(st.sampled_from((1, 2)))
-    a = data.draw(one_parity_poly(nvars, data.draw(st.integers(0, 1))).filter(bool))
-    b = data.draw(one_parity_poly(nvars, data.draw(st.integers(0, 1))).filter(bool))
-    assert packed_layout(a, b) == [(full_layout_slots(a, b) + 1) // 2]
+    lattice = [data.draw(st.booleans()) for _ in range(2)]
+    a, b = (data.draw(one_parity_poly(nvars, data.draw(st.integers(0, 1)), on))
+            for on in lattice)
+    if nvars == 2 and all(lattice):
+        assert packed_layout(a, b) == [lattice_layout_slots(a, b)]
+    else:
+        assert packed_layout(a, b) == [(full_layout_slots(a, b) + 1) // 2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_lattice_products_halve_again_when_the_quarter_is_a_checkerboard(data):
+    # On a coset of 2Z x 2Z whose halved exponents also have one parity of
+    # e_v/2 + e_s/2, the quarter box is halved like a checkerboard.
+    parity = data.draw(st.integers(0, 1))
+    a, b = (data.draw(one_parity_poly(2, parity)) for _ in range(2))
+    a = LaurentPoly({(2 * ev, 2 * es + 1): c for (ev, es), c in a.items()})
+    b = LaurentPoly({(2 * ev + 1, 2 * es): c for (ev, es), c in b.items()})
+    assert packed_layout(a, b) == [(lattice_layout_slots(a, b) + 1) // 2]
 
 
 @settings(max_examples=100, deadline=None)
@@ -575,9 +646,52 @@ def test_mixed_parity_products_take_full_layout(data):
     nvars = data.draw(st.sampled_from((1, 2)))
     a = data.draw(mixed_parity_poly(nvars))
     b = data.draw(st.one_of(mixed_parity_poly(nvars),
-                            one_parity_poly(nvars, data.draw(st.integers(0, 1)))).filter(bool))
+                            one_parity_poly(nvars, data.draw(st.integers(0, 1)),
+                                            data.draw(st.booleans()))))
     a, b = data.draw(st.permutations((a, b)))
     assert packed_layout(a, b) == [full_layout_slots(a, b)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_axis_step_compresses_only_that_axis(data):
+    # e_v of one parity in each operand but e_s of both: rows step by 2
+    s_polys = data.draw(mixed_parity_poly(1)), data.draw(mixed_parity_poly(1))
+    ev = [2 * data.draw(st.integers(-3, 3)) + data.draw(st.integers(0, 1)) for _ in range(2)]
+    rows = [data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)) for _ in range(2)]
+    a, b = (LaurentPoly({(e + 2 * r, es): c for r in rs for es, c in p.items()})
+            for e, rs, p in zip(ev, rows, s_polys))
+    span_v, span_s = [x + y for x, y in zip(spans(a), spans(b))]
+    assert packed_layout(a, b) == [(span_v // 2 + 1) * ((span_s + 1) | 1)]
+
+
+def bytes_pack(keys, coeffs, w):
+    """The w-byte slots written one ``to_bytes`` slice per term, positive
+    and negated negative coefficients apart: ``_pack``'s path above eight
+    bytes, and for every width before the array path."""
+    size = (max(keys) + 1) * w
+    pos, neg = bytearray(size), bytearray(size)
+    for k, c in zip(keys, coeffs):
+        if c > 0:
+            pos[k * w:(k + 1) * w] = c.to_bytes(w, "little")
+        else:
+            neg[k * w:(k + 1) * w] = (-c).to_bytes(w, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_array_pack_matches_byte_path(data):
+    w = data.draw(st.integers(1, 9))
+    top = 2 ** (8 * w - 1) - 1
+    keys = data.draw(st.lists(st.integers(0, 40), min_size=1, max_size=30, unique=True))
+    coeffs = [data.draw(st.sampled_from((top, -top, 1, -1)) | st.integers(-top, top).filter(bool))
+              for _ in keys]
+    packed = ring._pack(keys, coeffs, w)
+    assert packed == bytes_pack(keys, coeffs, w)
+    assert packed == sum(c << 8 * w * k for k, c in zip(keys, coeffs))
+    assert ring._unpack(packed, w, max(keys) + 1) == \
+        [dict(zip(keys, coeffs)).get(k, 0) for k in range(max(keys) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -806,7 +920,7 @@ def test_sum_of_products_takes_the_term_denominator_that_all_divide():
 
 
 # ---------------------------------------------------------------------------
-# RingElem.over divides each v-slice
+# RingElem.over against one exact division per excess bracket
 
 
 def over_per_bracket(x, brackets):
@@ -852,3 +966,142 @@ def test_over_refuses_when_one_slice_does_not_divide():
     # the one-variable numerator s + 1 over [1]
     with pytest.raises(ConsistencyError):
         RingElem(P1({1: 1, 0: 1}), (1,)).over(())
+
+
+# ---------------------------------------------------------------------------
+# RingElem.over on one packed integer against its slice sweep
+
+
+def over_by_sweep(x, brackets):
+    """RingElem.over by its slice sweep alone: the packed path declines."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring, "_over_packed", lambda *args: None)
+        return x.over(brackets)
+
+
+def packed_over_outcomes(mp):
+    """Record, per ``_over_packed`` call, 'packed', 'declined' or 'raised'."""
+    seen = []
+    real = ring._over_packed
+
+    def spy(*args):
+        try:
+            out = real(*args)
+        except ConsistencyError:
+            seen.append("raised")
+            raise
+        seen.append("declined" if out is None else "packed")
+        return out
+
+    mp.setattr(ring, "_over_packed", spy)
+    return seen
+
+
+@st.composite
+def any_parity_poly(draw, nvars):
+    """A polynomial of one parity class: on a coset of 2Z x 2Z, a
+    checkerboard of e_v + e_s, or of mixed parity, offsets down to -7."""
+    kind = draw(st.sampled_from(("lattice", "checkerboard", "mixed")))
+    if kind == "mixed":
+        return draw(mixed_parity_poly(nvars))
+    return draw(one_parity_poly(nvars, draw(st.integers(0, 1)), kind == "lattice"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_over_matches_slice_sweep(data):
+    nvars = data.draw(st.sampled_from((1, 2)))
+    base = data.draw(any_parity_poly(nvars))
+    factors = data.draw(st.lists(st.integers(1, 5), max_size=4))
+    extra = data.draw(st.lists(st.integers(1, 5), max_size=3))
+    num = base * bracket_product(factors, nvars)
+    kind = data.draw(st.sampled_from(("exact", "perturbed", "lifts")))
+    if kind == "perturbed":
+        e = data.draw(st.integers(-12, 12))
+        num = num + LaurentPoly.monomial(data.draw(st.integers(-3, 3).filter(bool)),
+                                         v=0 if nvars == 1 else e % 3, s=e, nvars=nvars)
+    x = RingElem(num, (*factors, *extra))
+    if kind == "lifts":
+        target = (*x.den, *data.draw(st.lists(st.integers(1, 6), max_size=4)))
+    else:
+        target = data.draw(st.lists(st.sampled_from((*factors, *extra, 6)), max_size=5))
+    try:
+        expected = over_by_sweep(x, target)
+    except ConsistencyError:
+        with pytest.raises(ConsistencyError):
+            x.over(target)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        outcomes = packed_over_outcomes(mp)
+        got = x.over(target)
+    assert got.den == expected.den
+    assert dict(got.num.items()) == dict(expected.num.items())
+    if kind == "lifts" and x and len(target) > len(x.den):
+        assert outcomes == ["packed"]
+
+
+def test_ladder_size_over_is_packed():
+    lam, mu = Partition((4, 3, 2, 1)), Partition((4, 2, 1))
+    value = hopf_invariant(lam, mu)
+    extra = (1, 2, 2, 3, 5, 7)
+    cases = [(RingElem(value.num * bracket_product(extra, 2), value.den + extra), value.den),
+             (value, (*value.den, 4, 4, 1))]
+    sl9 = value.substitute_v(9)
+    cases.append((sl9, ()))
+    for x, target in cases:
+        with pytest.MonkeyPatch.context() as mp:
+            outcomes = packed_over_outcomes(mp)
+            got = x.over(target)
+        assert outcomes == ["packed"]
+        expected = over_by_sweep(x, target)
+        assert got.den == expected.den and got.num == expected.num
+    assert len(sl9.num.items()) >= 64 and sl9.over(()).num.nvars == 1
+
+
+def test_packed_over_raises_on_a_nonzero_remainder():
+    value = hopf_invariant(Partition((3, 2, 1)), Partition((2, 2)))
+    for nvars, x in ((2, value), (1, value.substitute_v(5))):
+        bumped = RingElem(x.num + LaurentPoly.monomial(1, nvars=nvars), x.den)
+        with pytest.MonkeyPatch.context() as mp:
+            outcomes = packed_over_outcomes(mp)
+            with pytest.raises(ConsistencyError):
+                bumped.over(())
+        assert outcomes == ["raised"]
+        with pytest.raises(ConsistencyError):
+            over_by_sweep(bumped, ())
+
+
+def test_quotient_too_wide_for_its_slots_takes_the_sweep():
+    # -3 (1 - s^120) (1 + s^2 + ... + s^118) over [1]: the numerator's
+    # coefficients are +-3, so each slot is one byte, but the quotient
+    # -3 s (1 + s^2 + ... + s^118)**2 peaks at -180, past the slot's range.
+    run = {2 * i: 3 for i in range(60)}
+    num = P1({**run, **{e + 120: -c for e, c in run.items()}})
+    x = RingElem(num, (1,))
+    with pytest.MonkeyPatch.context() as mp:
+        outcomes = packed_over_outcomes(mp)
+        got = x.over(())
+    assert outcomes == ["declined"]
+    square = P1({2 * i: 1 for i in range(60)}) ** 2
+    assert got == RingElem(square * P1({1: -3}))
+    assert got.num == over_by_sweep(x, ()).num
+    assert max(-c for _, c in got.num.items()) == 180
+
+
+def test_quotient_rows_that_reach_the_next_row_take_the_sweep():
+    # Rows v^0 and v^1 of R [1] + v^0 s^10 - v^1 s^0: each row is off by
+    # one monomial, but the two sit 2 slots apart in the packed layout
+    # (12 slots per row), so the integer division by B^2 - 1 is exact and
+    # only the quotient's top slots of row v^0 show the rows do not divide.
+    r = P1({j: j + 1 for j in range(10)})
+    row = r * LaurentPoly.quantum_bracket(1, 1)
+    num = P2({(0, e): c for e, c in (row + P1({10: 1})).items()}) + \
+        P2({(1, e): c for e, c in (row - P1({0: 1})).items()})
+    x = RingElem(num, (1,))
+    with pytest.MonkeyPatch.context() as mp:
+        outcomes = packed_over_outcomes(mp)
+        with pytest.raises(ConsistencyError):
+            x.over(())
+    assert outcomes == ["declined"]
+    with pytest.raises(ConsistencyError):
+        over_by_sweep(x, ())

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import hopfly.ring as ring
 from hopfly.hopf import hopf_invariant
 from hopfly.partitions import partitions_up_to
-from hopfly.ring import LaurentPoly
+from hopfly.ring import LaurentPoly, RingElem
 
 sympy = pytest.importorskip("sympy")
 
@@ -103,6 +103,76 @@ def test_dense_mul_is_packed_and_matches_sympy(data):
     (pa, sa), (pb, sb) = to_sympy(a), to_sympy(b)
     shift = tuple(x + y for x, y in zip(sa, sb))
     assert exps(product) == from_sympy(pa * pb, shift)
+
+
+@st.composite
+def lattice_laurent(draw, size=5):
+    """20 to 25 distinct two-variable terms on one coset of 2Z x 2Z, in a
+    ``size`` x ``size`` box of it at an offset from -7 up, nonzero
+    coefficients up to 2**40 in size."""
+    ov, os = draw(st.integers(-7, 7)), draw(st.integers(-7, 7))
+    box = [(ov + 2 * i, os + 2 * j) for i in range(size) for j in range(size)]
+    keys = draw(st.lists(st.sampled_from(box), min_size=20, max_size=25, unique=True))
+    coeffs = st.integers(-2 ** 40, 2 ** 40).filter(bool)
+    return LaurentPoly({k: draw(coeffs) for k in keys})
+
+
+def packed_spy(mp, name):
+    """Record, per call of ``ring.<name>``, whether it returned a result."""
+    calls = []
+    real = getattr(ring, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append(out is not None)
+        return out
+
+    mp.setattr(ring, name, spy)
+    return calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(lattice_laurent(), lattice_laurent())
+def test_lattice_mul_is_packed_and_matches_sympy(a, b):
+    with pytest.MonkeyPatch.context() as mp:
+        calls = packed_spy(mp, "_mul_packed")
+        product = a * b
+    assert calls == [True]
+    (pa, sa), (pb, sb) = to_sympy(a), to_sympy(b)
+    shift = tuple(x + y for x, y in zip(sa, sb))
+    assert exps(product) == from_sympy(pa * pb, shift)
+
+
+def bracket_poly(ks):
+    """prod (s**(2k) - 1) over ks as a sympy Poly in v, s: the bracket
+    product prod [k] times s**sum(ks)."""
+    out = sympy.Poly(1, V, S)
+    for k in ks:
+        out *= sympy.Poly(S ** (2 * k) - 1, V, S)
+    return out
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_packed_over_matches_sympy(data):
+    base = data.draw(lattice_laurent(6))
+    factors = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    target = data.draw(st.lists(st.integers(1, 4), max_size=3))
+    assume(sorted(target) != sorted(factors))
+    num = base
+    for k in factors:
+        num = num * LaurentPoly.quantum_bracket(k)
+    assume(len(num.items()) >= 64)
+    with pytest.MonkeyPatch.context() as mp:
+        calls = packed_spy(mp, "_over_packed")
+        got = RingElem(num, tuple(factors)).over(target)
+    assert calls == [True]
+    assert got.den == tuple(sorted(target))
+    # num * prod [target] / prod [factors], divided by sympy
+    pn, (sv, ss) = to_sympy(num)
+    quo, rem = (pn * bracket_poly(target)).div(bracket_poly(factors))
+    assert rem.is_zero
+    assert exps(got.num) == from_sympy(quo, (sv, ss - sum(target) + sum(factors)))
 
 
 @settings(max_examples=80, deadline=None)

@@ -302,7 +302,9 @@ class TestHookContentRoute:
 
     def test_inexact_quotient_is_an_internal_error(self, monkeypatch):
         sln._hook_content.cache_clear()
-        # RingElem.over divides out the excess hook brackets one at a time
+        # RingElem.over falls back to dividing out the excess hook brackets
+        # one at a time when its packed quotient is declined
+        monkeypatch.setattr(ring, "_over_packed", lambda *args: None)
         monkeypatch.setattr(ring, "_div_terms_1var", lambda num, den: None)
         with pytest.raises(ConsistencyError):
             hopf_sln_minor(Partition((1,)), Partition((2, 1)), 3)
