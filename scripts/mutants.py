@@ -127,6 +127,11 @@ MUTANTS = (
         ("tests/test_ring.py::test_quotient_rows_that_reach_the_next_row_take_the_sweep",),
     ),
     Mutant(
+        "packed-over-row-room-past-the-row", "src/hopfly/ring.py",
+        "top = min(sum(downs), stride)", "top = sum(downs)",
+        ("tests/test_ring.py::test_brackets_wider_than_a_row_take_the_sweep",),
+    ),
+    Mutant(
         "packed-over-digit-bound-one-bit-loose", "src/hopfly/ring.py",
         "<< len(downs) >= 1 << bits - 1:", "<< len(downs) >= 1 << bits:",
         ("tests/test_ring.py::test_quotient_too_wide_for_its_slots_takes_the_sweep",

@@ -214,7 +214,10 @@ def _pack(keys: list, coeffs, w: int) -> int:
     For w <= 8 each slot holds c + 2**(8*w-1), a nonnegative digit, in one
     array of eight-byte words, narrowed to w bytes a byte plane at a time;
     one subtraction of the bias from the whole integer undoes the shift.
-    Wider slots are written one ``to_bytes`` slice per term."""
+    Wider slots are written one ``to_bytes`` slice per term.  Writing every
+    width that way made the (6,5,4,3,2,1) self-pairing about 7 % slower
+    (34 of 40 alternating in-process runs) and a verify pass about 0.13 s
+    slower."""
     n = max(keys) + 1
     if w > 8:
         pos = bytearray(n * w)
@@ -569,10 +572,10 @@ def _over_packed(terms: dict, nvars: int, missing: list, excess: list, den: tupl
     divide and raises ``ConsistencyError``.  With a zero remainder the
     decoded quotient q is accepted only when max|q| * 2**#excess < B/2,
     where w also puts the lifted numerator's slots, and when each row's
-    top sum(2k/g) slots are zero.  Then q times the excess brackets has
-    coefficients inside +-B/2 and the lifted numerator's value, so it has
-    its slots, row by row, and q is the exact quotient.  Otherwise the
-    caller's slice sweep decides.
+    top sum(2k/g) slots (the whole row, if it has fewer) are zero.  Then
+    q times the excess brackets has coefficients inside +-B/2 and the
+    lifted numerator's value, so it has its slots, row by row, and q is
+    the exact quotient.  Otherwise the caller's slice sweep decides.
     """
     if nvars == 2:
         v_all, s_all = zip(*terms)
@@ -612,7 +615,8 @@ def _over_packed(terms: dict, nvars: int, missing: list, excess: list, den: tupl
     slots = _unpack(p, w, n)
     if max(max(slots), -min(slots)) << len(downs) >= 1 << bits - 1:
         return None  # a coefficient of q may have wrapped
-    top = sum(downs)
+    # brackets spanning a whole row or more leave no room for any of q
+    top = min(sum(downs), stride)
     if top and any(any(slots[i - top:i]) for i in range(stride, n + 1, stride)):
         return None  # a row of q times the brackets would reach the next row
     s_low = s0 - sum(missing) + sum(excess)

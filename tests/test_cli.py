@@ -170,6 +170,31 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("error: internal identity failed: ")
 
+    def test_failed_packed_division_exits_1(self, capsys, monkeypatch):
+        hopf._hopf_value.cache_clear()
+        # one more constant term makes the numerator's packed division by
+        # the excess brackets leave a remainder
+        real = ring._over_packed
+        raised = []
+
+        def bumped(terms, nvars, missing, excess, den):
+            if excess:
+                key = 0 if nvars == 1 else (0, 0)
+                terms = {**terms, key: terms.get(key, 0) + 1}
+            try:
+                return real(terms, nvars, missing, excess, den)
+            except ring.ConsistencyError:
+                raised.append(excess)
+                raise
+
+        monkeypatch.setattr(ring, "_over_packed", bumped)
+        code, out, err = run_cli(capsys, "hopf", "--lambda", "2,1", "--mu", "2,1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: internal identity failed: ")
+        assert "does not divide the numerator" in err and "Traceback" not in err
+        assert len(raised) == 1
+
     def test_disagreeing_routes_exit_1(self, capsys, monkeypatch):
         real = cli.hopf_sln_minor
 

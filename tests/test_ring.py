@@ -1105,3 +1105,17 @@ def test_quotient_rows_that_reach_the_next_row_take_the_sweep():
     assert outcomes == ["declined"]
     with pytest.raises(ConsistencyError):
         over_by_sweep(x, ())
+
+
+def test_brackets_wider_than_a_row_take_the_sweep():
+    # (-1 - s) + v (s + s^2) over [2]: 3 slots per row, and the packed
+    # integer (B + 1)(B^4 - 1) divides exactly by B^4 - 1, whose 4 slots
+    # outspan a row.  So every slot of q must be zero, and q = 1 + B is not.
+    x = RingElem(P2({(0, 0): -1, (0, 1): -1, (1, 1): 1, (1, 2): 1}), (2,))
+    with pytest.MonkeyPatch.context() as mp:
+        outcomes = packed_over_outcomes(mp)
+        with pytest.raises(ConsistencyError):
+            x.over(())
+    assert outcomes == ["declined"]
+    with pytest.raises(ConsistencyError):
+        over_by_sweep(x, ())
