@@ -95,9 +95,8 @@ MUTANTS = (
          "tests/test_ring.py::test_over_by_slices_matches_per_bracket_division"),
     ),
     Mutant(
-        "bracket-quotient-drops-a-bracket", "src/hopfly/ring.py",
-        "RingElem(LaurentPoly.one(nvars), small).over(big).num",
-        "RingElem(LaurentPoly.one(nvars), small).over(big[1:]).num",
+        "lift-across-brackets-drops-one", "src/hopfly/ring.py",
+        "return x.over(den.elements()).num", "return x.over(list(den.elements())[1:]).num",
         ("tests/test_ring.py::test_lift_across_a_q_binomial_is_cross_multiplication",
          "tests/test_series.py::test_cauchy_coefficient_k_is_over_one_factorial"),
     ),
@@ -124,18 +123,24 @@ MUTANTS = (
     Mutant(
         "packed-over-skips-row-room-check", "src/hopfly/ring.py",
         "if top and any(", "if False and any(",
-        ("tests/test_ring.py::test_quotient_rows_that_reach_the_next_row_take_the_sweep",),
+        ("tests/test_ring.py::test_quotient_rows_that_reach_the_next_row_raise",),
     ),
     Mutant(
         "packed-over-row-room-past-the-row", "src/hopfly/ring.py",
         "top = min(sum(downs), stride)", "top = sum(downs)",
-        ("tests/test_ring.py::test_brackets_wider_than_a_row_take_the_sweep",),
+        ("tests/test_ring.py::test_brackets_wider_than_a_row_raise",),
     ),
     Mutant(
         "packed-over-digit-bound-one-bit-loose", "src/hopfly/ring.py",
-        "<< len(downs) >= 1 << bits - 1:", "<< len(downs) >= 1 << bits:",
-        ("tests/test_ring.py::test_quotient_too_wide_for_its_slots_takes_the_sweep",
-         "tests/test_ring.py::test_packed_over_matches_slice_sweep"),
+        "<< len(downs) < 1 << bits - 1:", "<< len(downs) < 1 << bits:",
+        ("tests/test_ring.py::test_quotient_too_wide_for_its_slots_widens",
+         "tests/test_ring.py::test_packed_over_matches_per_bracket_division"),
+    ),
+    Mutant(
+        "packed-over-never-widens", "src/hopfly/ring.py",
+        "if max(max(slots), -min(slots))", "if True or max(max(slots), -min(slots))",
+        ("tests/test_ring.py::test_quotient_too_wide_for_its_slots_widens",
+         "tests/test_ring.py::test_large_n_sl_values_widen"),
     ),
     # the sl(N) minor route
     Mutant(

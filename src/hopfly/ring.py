@@ -38,23 +38,22 @@ Denominators: ``_lift`` rewrites a numerator over a bracket multiset
 whose product the numerator's own bracket product divides.  Over a larger
 multiset, which is all that equality, addition, ``den_poly`` and
 ``det_fractions`` need, it multiplies by one bracket s**k - s**-k at a
-time, as a shift up minus a shift down.  Otherwise it multiplies by the
-exact quotient of the two bracket products, memoised, such as the
-q-binomial [1]...[k] / ([1]...[i] [1]...[k-i]); ``_divides`` decides
-divisibility from the cyclotomic factors of the brackets.
-``sum_of_products``, the coefficient sum of a series product, uses that
-branch to sum over one term's brackets instead of their union.
+time, as a shift up minus a shift down.  Otherwise ``RingElem.over``
+writes it over the multiset, which multiplies it by a quotient of bracket
+products such as the q-binomial [1]...[k] / ([1]...[i] [1]...[k-i]);
+``_divides`` decides divisibility from the cyclotomic factors of the
+brackets.  ``sum_of_products``, the coefficient sum of a series product,
+uses that branch to sum over one term's brackets instead of their union.
 ``RingElem.over`` is the one place that divides by brackets: it writes a
 value over a given multiset, shifting in the brackets the value lacks and
-dividing out the excess ones exactly.  It forms that memoised quotient, the
-closed forms of the sl(N) minor route, whose factors q**k - 1 are
-s**k [k], and every printed value, whose denominator a theorem fixes: a
-pairing is over hooks(lam) + hooks(mu), an sl(N) value over no bracket.
-It packs the numerator once (``_over_packed``): each missing bracket is a
-shift-subtract of the packed int, and one integer ``divmod`` divides by
-all the excess ones; a decode it cannot vouch for falls back to dividing
-each v-slice by one bracket at a time.  A bracket that does not divide
-exactly raises ``ConsistencyError``.
+dividing out the excess ones exactly.  It forms those lifts, the closed
+forms of the sl(N) minor route, whose factors q**k - 1 are s**k [k], and
+every printed value, whose denominator a theorem fixes: a pairing is over
+hooks(lam) + hooks(mu), an sl(N) value over no bracket.  It packs the
+numerator into one integer (``_over_packed``): each missing bracket is a
+shift-subtract, and one integer ``divmod`` divides by all the excess
+ones, at a slot width that doubles until the quotient fits its slots.  A
+bracket that does not divide exactly raises ``ConsistencyError``.
 
 Determinants: memoised minor expansion on the column set, for every matrix
 the library builds.  Fraction-free Bareiss elimination (``_det_bareiss``)
@@ -535,7 +534,12 @@ class LaurentPoly:
 def _times_bracket(terms: dict, k: int, nvars: int) -> dict:
     """terms * (s**k - s**-k), by one shift up and one shift down."""
     # One loop per arity: a shared generator of shifted keys made the lifts
-    # of a verify pass about 15 % slower.
+    # of a verify pass about 15 % slower.  Lifts stay on term dicts rather
+    # than packed ``RingElem.over``, whose fixed cost dominates small
+    # numerators: a default verify pass makes 15,187 of them, median 8
+    # terms and 99 % of at most 256, and replayed in one process (Python
+    # 3.11.7, shared 2-vCPU host) they took 0.17 s by this function
+    # against 0.40 s packed.
     items = terms.items()
     if nvars == 1:
         out = {e + k: c for e, c in items}
@@ -558,24 +562,32 @@ def _times_bracket(terms: dict, k: int, nvars: int) -> dict:
     return out
 
 
-def _over_packed(terms: dict, nvars: int, missing: list, excess: list, den: tuple) -> Optional[dict]:
+def _over_packed(terms: dict, nvars: int, missing: list, excess: list, den: tuple) -> dict:
     """Terms of terms * prod [k] over missing / prod [k] over excess, on one
-    packed integer, or None when its decode cannot be trusted.
+    packed integer; raises ``ConsistencyError`` when the excess brackets do
+    not divide.
 
     The numerator is packed once: a row of ``stride`` slots per distinct
     v-exponent, the s-axis compressed by its step g (2 when every
     s-exponent has one parity, else 1) as in ``_mul_packed``, and room in
     each row for the lifts.  [k] is s**-k times (s**g)**(2k/g) - 1, so
-    with B = 2**(8*w) each missing bracket is the shift-subtract
+    with B = 2**(8*w) the packed numerator is P(B) for a polynomial P in
+    one variable X, each missing bracket is the shift-subtract
     p = p * B**(2k/g) - p, and the excess brackets are one ``divmod`` by
-    prod (B**(2k/g) - 1).  A nonzero remainder proves that they do not
-    divide and raises ``ConsistencyError``.  With a zero remainder the
-    decoded quotient q is accepted only when max|q| * 2**#excess < B/2,
-    where w also puts the lifted numerator's slots, and when each row's
-    top sum(2k/g) slots (the whole row, if it has fewer) are zero.  Then
-    q times the excess brackets has coefficients inside +-B/2 and the
-    lifted numerator's value, so it has its slots, row by row, and q is
-    the exact quotient.  Otherwise the caller's slice sweep decides.
+    D(B), D = prod (X**(2k/g) - 1).  A nonzero remainder proves that D
+    does not divide P, and so that the brackets do not divide.  With a
+    zero remainder the decoded quotient Q is checked digit by digit:
+    when max|Q| * 2**#excess < B/2, Q * D has coefficients inside +-B/2,
+    as P has, and the same value at B, so Q * D = P.  Then Q is the exact
+    quotient, and the brackets divide the numerator iff each row's top
+    sum(2k/g) slots of Q (the whole row, if it has fewer) are zero, so
+    that no row of Q * D reaches the next.  A decode that fails the digit
+    check may have wrapped, and is repeated with w doubled.
+
+    That loop ends.  If D divides P, Q is fixed and its coefficients are
+    bounded, so the digit check passes once B is large enough.  If not,
+    P = Q * D + R with a fixed R != 0 of lower degree than the monic D, so
+    0 < |R(B)| < D(B) once B is large enough, and the remainder is nonzero.
     """
     if nvars == 2:
         v_all, s_all = zip(*terms)
@@ -587,42 +599,45 @@ def _over_packed(terms: dict, nvars: int, missing: list, excess: list, den: tupl
     downs = [2 * k >> hs for k in excess]
     stride = (max(s_all) - s0 >> hs) + 1 + sum(ups)
     vs = sorted(set(v_all))
-    # w leaves the quotient 2 bits per excess bracket to outgrow the
-    # numerator by, plus the 1 bit per bracket that the check needs.  That
-    # covers every pairing of the benchmark's ladder pairs and their sl(N)
-    # values up to N = 13.  The growth rises with N, to about 3 bits per
-    # bracket at N = 60, and a quotient past it takes the sweep.
-    w = (max(map(abs, terms.values())) << len(ups) + 3 * len(downs)).bit_length() // 8 + 1
-    bits = 8 * w
+    n = len(vs) * stride
     if nvars == 2:
         row = {v: i * stride for i, v in enumerate(vs)}
         keys = [row[ev] + (es - s0 >> hs) for ev, es in terms]
     else:
         keys = [es - s0 >> hs for es in terms]
-    p = _pack(keys, terms.values(), w)
-    for m in ups:
-        p = (p << bits * m) - p
-    if downs:
-        d = 1
-        for m in downs:
-            d = (d << bits * m) - d
-        p, r = divmod(p, d)
-        if r:
-            brackets = "".join(f"[{k}]" for k in excess)
-            raise ConsistencyError(f"{brackets} does not divide the numerator over {den}")
-    # p fits n signed slots, and d >= B - 1 makes |q| far smaller, so q does
-    n = len(vs) * stride
-    slots = _unpack(p, w, n)
-    if max(max(slots), -min(slots)) << len(downs) >= 1 << bits - 1:
-        return None  # a coefficient of q may have wrapped
-    # brackets spanning a whole row or more leave no room for any of q
-    top = min(sum(downs), stride)
-    if top and any(any(slots[i - top:i]) for i in range(stride, n + 1, stride)):
-        return None  # a row of q times the brackets would reach the next row
-    s_low = s0 - sum(missing) + sum(excess)
-    s_keys = range(s_low, s_low + (stride << hs), 1 << hs)
-    keys = s_keys if nvars == 1 else itertools.product(vs, s_keys)
-    return dict(zip(itertools.compress(keys, slots), itertools.compress(slots, slots)))
+    # w leaves the quotient 2 bits per excess bracket to outgrow the
+    # numerator by, plus the 1 bit per bracket that the digit check needs.
+    # That covers every pairing of the benchmark's ladder pairs and their
+    # sl(N) values up to N = 13.  The growth rises with N, to about 3 bits
+    # per bracket at N = 60, where some quotients need one doubling.
+    w = (max(map(abs, terms.values())) << len(ups) + 3 * len(downs)).bit_length() // 8 + 1
+    while True:
+        bits = 8 * w
+        p = _pack(keys, terms.values(), w)
+        for m in ups:
+            p = (p << bits * m) - p
+        if downs:
+            d = 1
+            for m in downs:
+                d = (d << bits * m) - d
+            p, r = divmod(p, d)
+            if r:
+                break
+        # the lifted p fits n signed slots, and d >= B - 1 makes |q| far
+        # smaller, so q does
+        slots = _unpack(p, w, n)
+        if max(max(slots), -min(slots)) << len(downs) < 1 << bits - 1:
+            # brackets spanning a whole row or more leave no room for any of q
+            top = min(sum(downs), stride)
+            if top and any(any(slots[i - top:i]) for i in range(stride, n + 1, stride)):
+                break
+            s_low = s0 - sum(missing) + sum(excess)
+            s_keys = range(s_low, s_low + (stride << hs), 1 << hs)
+            keys = s_keys if nvars == 1 else itertools.product(vs, s_keys)
+            return dict(zip(itertools.compress(keys, slots), itertools.compress(slots, slots)))
+        w *= 2
+    brackets = "".join(f"[{k}]" for k in excess)
+    raise ConsistencyError(f"{brackets} does not divide the numerator over {den}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -639,28 +654,19 @@ def _divides(small: tuple, big: tuple) -> bool:
     return phi_counts(small) <= phi_counts(big)
 
 
-@functools.lru_cache(maxsize=None)
-def _bracket_quotient(small: tuple, big: tuple, nvars: int) -> LaurentPoly:
-    """prod [k] over big divided by prod [k] over small, which must divide it:
-    the numerator of 1 / prod [k] over small, written over big by
-    ``RingElem.over``.  Its lift only shifts in the brackets small lacks, so
-    it never comes back here."""
-    return RingElem(LaurentPoly.one(nvars), small).over(big).num
-
-
 def _lift(x: "RingElem", den: Counter) -> LaurentPoly:
     """Numerator of x over the bracket multiset den; the bracket product of
     x.den must divide that of den.  When den contains x.den, x.num times
-    each extra bracket in turn, O(#num) per bracket; otherwise x.num times
-    the exact quotient of the two products (``_bracket_quotient``), which
-    ``RingElem.over`` forms by that first branch alone."""
+    each extra bracket in turn, O(#num) per bracket; otherwise
+    ``RingElem.over`` also divides out the brackets of x.den that den
+    lacks."""
     num = x.num
     have = Counter(x.den)
     if have <= den:
         for k in (den - have).elements():
             num = _from_terms(_times_bracket(num._terms, k, num.nvars), num.nvars)
         return num
-    return num * _bracket_quotient(x.den, tuple(sorted(den.elements())), num.nvars)
+    return x.over(den.elements()).num
 
 
 def sum_of_products(pairs: Iterable[tuple["RingElem", "RingElem"]], nvars: int) -> "RingElem":
@@ -774,39 +780,25 @@ class RingElem:
 
     def over(self, brackets: Iterable[int]) -> "RingElem":
         """The same value over exactly the bracket multiset ``brackets``: the
-        brackets it lacks are multiplied in, then each excess one is divided
-        out, largest first.  Raises ``ConsistencyError`` if one does not divide.
+        brackets it lacks are multiplied in and the excess ones divided out.
+        Raises ``ConsistencyError`` if they do not divide.
 
         A nonzero numerator is rewritten on one packed integer by
         ``_over_packed``: a shift-subtract per missing bracket and one
-        integer division by the excess ones.  Replaying every ``over`` call
+        integer division by the excess ones, at a slot width that doubles
+        until the quotient fits its slots.  Replaying every ``over`` call
         of the three default-seed benchmark workloads and of ``hopfly minor``
-        at N = 40, packing was faster than the sweep at every numerator size
-        from 1 term up, so no size threshold gates it.  A quotient that
-        fails its checks takes the slice sweep: a bracket has no v, so each
-        v-slice of the lifted numerator is divided on its own, by every
-        excess bracket in turn, and the numerator is sliced and flattened
-        once.
+        at N = 40, packing was faster than dividing one bracket at a time
+        at every numerator size from 1 term up, so no size threshold gates
+        it.
         """
         want = Counter(brackets)
         have = Counter(self.den)
         excess = sorted((have - want).elements(), reverse=True)
         missing = list((want - have).elements())
-        if self.num and (missing or excess):
-            data = _over_packed(self.num._terms, self.num.nvars, missing, excess, self.den)
-            if data is not None:
-                return RingElem(_from_terms(data, self.num.nvars), tuple(want.elements()))
-        num = _lift(self, have | want)
-        if excess:
-            nvars = num.nvars
-            slices = _slices(num._terms) if nvars == 2 else {0: num._terms}
-            for ev, sl in slices.items():
-                for k in excess:
-                    sl = _div_terms_1var(sl, {k: 1, -k: -1})
-                    if sl is None:
-                        raise ConsistencyError(f"[{k}] does not divide the numerator over {self.den}")
-                slices[ev] = sl
-            num = _from_terms(_flatten(slices) if nvars == 2 else slices[0], nvars)
+        num = self.num
+        if num and (missing or excess):
+            num = _from_terms(_over_packed(num._terms, num.nvars, missing, excess, self.den), num.nvars)
         return RingElem(num, tuple(want.elements()))
 
     def substitute_v(self, n: int) -> "RingElem":

@@ -159,17 +159,6 @@ class TestErrorHandling:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
-    def test_failed_identity_exits_1(self, capsys, monkeypatch):
-        hopf._hopf_value.cache_clear()
-        # RingElem.over falls back to dividing each v-slice by one bracket
-        # at a time when its packed quotient is declined
-        monkeypatch.setattr(ring, "_over_packed", lambda *args: None)
-        monkeypatch.setattr(ring, "_div_terms_1var", lambda num, den: None)
-        code, out, err = run_cli(capsys, "hopf", "--lambda", "2,1", "--mu", "2,1")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: internal identity failed: ")
-
     def test_failed_packed_division_exits_1(self, capsys, monkeypatch):
         hopf._hopf_value.cache_clear()
         # one more constant term makes the numerator's packed division by

@@ -8,7 +8,7 @@ import hopfly.ring as ring
 import hopfly.verify as verify
 from hopfly.hopf import eval_unknot, hopf_invariant
 from hopfly.partitions import Partition
-from hopfly.sln import vandermonde_minor
+from hopfly.sln import hopf_sln_minor, hopf_sln_substitution, vandermonde_minor
 from hopfly.ring import (
     ConsistencyError,
     LaurentPoly,
@@ -969,30 +969,31 @@ def test_over_refuses_when_one_slice_does_not_divide():
 
 
 # ---------------------------------------------------------------------------
-# RingElem.over on one packed integer against its slice sweep
-
-
-def over_by_sweep(x, brackets):
-    """RingElem.over by its slice sweep alone: the packed path declines."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ring, "_over_packed", lambda *args: None)
-        return x.over(brackets)
+# RingElem.over on one packed integer
 
 
 def packed_over_outcomes(mp):
-    """Record, per ``_over_packed`` call, 'packed', 'declined' or 'raised'."""
+    """Record, per ``_over_packed`` call, 'packed' or 'raised' and how many
+    times it doubled its slot width."""
     seen = []
-    real = ring._over_packed
+    widths = []
+    real_over, real_pack = ring._over_packed, ring._pack
+
+    def pack(keys, coeffs, w):
+        widths.append(w)
+        return real_pack(keys, coeffs, w)
 
     def spy(*args):
+        widths.clear()
         try:
-            out = real(*args)
+            out = real_over(*args)
         except ConsistencyError:
-            seen.append("raised")
+            seen.append(("raised", len(widths) - 1))
             raise
-        seen.append("declined" if out is None else "packed")
+        seen.append(("packed", len(widths) - 1))
         return out
 
+    mp.setattr(ring, "_pack", pack)
     mp.setattr(ring, "_over_packed", spy)
     return seen
 
@@ -1009,7 +1010,7 @@ def any_parity_poly(draw, nvars):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_packed_over_matches_slice_sweep(data):
+def test_packed_over_matches_per_bracket_division(data):
     nvars = data.draw(st.sampled_from((1, 2)))
     base = data.draw(any_parity_poly(nvars))
     factors = data.draw(st.lists(st.integers(1, 5), max_size=4))
@@ -1026,7 +1027,7 @@ def test_packed_over_matches_slice_sweep(data):
     else:
         target = data.draw(st.lists(st.sampled_from((*factors, *extra, 6)), max_size=5))
     try:
-        expected = over_by_sweep(x, target)
+        expected = over_per_bracket(x, target)
     except ConsistencyError:
         with pytest.raises(ConsistencyError):
             x.over(target)
@@ -1037,7 +1038,7 @@ def test_packed_over_matches_slice_sweep(data):
     assert got.den == expected.den
     assert dict(got.num.items()) == dict(expected.num.items())
     if kind == "lifts" and x and len(target) > len(x.den):
-        assert outcomes == ["packed"]
+        assert outcomes == [("packed", 0)]
 
 
 def test_ladder_size_over_is_packed():
@@ -1052,8 +1053,8 @@ def test_ladder_size_over_is_packed():
         with pytest.MonkeyPatch.context() as mp:
             outcomes = packed_over_outcomes(mp)
             got = x.over(target)
-        assert outcomes == ["packed"]
-        expected = over_by_sweep(x, target)
+        assert outcomes == [("packed", 0)]
+        expected = over_per_bracket(x, target)
         assert got.den == expected.den and got.num == expected.num
     assert len(sl9.num.items()) >= 64 and sl9.over(()).num.nvars == 1
 
@@ -1066,29 +1067,42 @@ def test_packed_over_raises_on_a_nonzero_remainder():
             outcomes = packed_over_outcomes(mp)
             with pytest.raises(ConsistencyError):
                 bumped.over(())
-        assert outcomes == ["raised"]
+        assert outcomes == [("raised", 0)]
         with pytest.raises(ConsistencyError):
-            over_by_sweep(bumped, ())
+            over_per_bracket(bumped, ())
 
 
-def test_quotient_too_wide_for_its_slots_takes_the_sweep():
-    # -3 (1 - s^120) (1 + s^2 + ... + s^118) over [1]: the numerator's
-    # coefficients are +-3, so each slot is one byte, but the quotient
-    # -3 s (1 + s^2 + ... + s^118)**2 peaks at -180, past the slot's range.
-    run = {2 * i: 3 for i in range(60)}
-    num = P1({**run, **{e + 120: -c for e, c in run.items()}})
-    x = RingElem(num, (1,))
+@pytest.mark.parametrize("half, doublings", [(30, 1), (3000, 2)])
+def test_quotient_too_wide_for_its_slots_widens(half, doublings):
+    # -3 (1 - s**(4 half)) (1 + s**2 + ... + s**(4 half - 2)) over [1]: the
+    # numerator's coefficients are +-3, so its slots start one byte wide,
+    # but the quotient -3 s (1 + s**2 + ... + s**(4 half - 2))**2 peaks at
+    # -6 half.  With the digit check's bit, -180 needs two bytes per slot
+    # and -18000 four: slots of 1 and 2 bytes, or of 1, 2 and 4.
+    run = {2 * i: 3 for i in range(2 * half)}
+    x = RingElem(P1({**run, **{e + 4 * half: -c for e, c in run.items()}}), (1,))
     with pytest.MonkeyPatch.context() as mp:
         outcomes = packed_over_outcomes(mp)
         got = x.over(())
-    assert outcomes == ["declined"]
-    square = P1({2 * i: 1 for i in range(60)}) ** 2
-    assert got == RingElem(square * P1({1: -3}))
-    assert got.num == over_by_sweep(x, ()).num
-    assert max(-c for _, c in got.num.items()) == 180
+    assert outcomes == [("packed", doublings)]
+    square = P1({2 * i: 1 for i in range(2 * half)}) ** 2
+    assert got.num == square * P1({1: -3}) == over_per_bracket(x, ()).num
+    assert max(-c for _, c in got.num.items()) == 6 * half
 
 
-def test_quotient_rows_that_reach_the_next_row_take_the_sweep():
+def test_large_n_sl_values_widen():
+    # The quotient of an sl(N) value outgrows its numerator by about 3 bits
+    # per hook bracket at N = 60, past the 2 the first slot width allows.
+    lam, mu = Partition((4, 3, 2, 1)), Partition((4, 2, 1))
+    hopf_invariant(lam, mu)  # memoised, so the spy sees only the sl(N) over
+    with pytest.MonkeyPatch.context() as mp:
+        outcomes = packed_over_outcomes(mp)
+        got = hopf_sln_substitution(lam, mu, 60).value
+    assert len(outcomes) == 1 and outcomes[0][0] == "packed" and outcomes[0][1] >= 1
+    assert got == hopf_sln_minor(lam, mu, 60).value
+
+
+def test_quotient_rows_that_reach_the_next_row_raise():
     # Rows v^0 and v^1 of R [1] + v^0 s^10 - v^1 s^0: each row is off by
     # one monomial, but the two sit 2 slots apart in the packed layout
     # (12 slots per row), so the integer division by B^2 - 1 is exact and
@@ -1102,12 +1116,12 @@ def test_quotient_rows_that_reach_the_next_row_take_the_sweep():
         outcomes = packed_over_outcomes(mp)
         with pytest.raises(ConsistencyError):
             x.over(())
-    assert outcomes == ["declined"]
+    assert outcomes == [("raised", 0)]
     with pytest.raises(ConsistencyError):
-        over_by_sweep(x, ())
+        over_per_bracket(x, ())
 
 
-def test_brackets_wider_than_a_row_take_the_sweep():
+def test_brackets_wider_than_a_row_raise():
     # (-1 - s) + v (s + s^2) over [2]: 3 slots per row, and the packed
     # integer (B + 1)(B^4 - 1) divides exactly by B^4 - 1, whose 4 slots
     # outspan a row.  So every slot of q must be zero, and q = 1 + B is not.
@@ -1116,6 +1130,6 @@ def test_brackets_wider_than_a_row_take_the_sweep():
         outcomes = packed_over_outcomes(mp)
         with pytest.raises(ConsistencyError):
             x.over(())
-    assert outcomes == ["declined"]
+    assert outcomes == [("raised", 0)]
     with pytest.raises(ConsistencyError):
-        over_by_sweep(x, ())
+        over_per_bracket(x, ())

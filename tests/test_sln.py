@@ -301,13 +301,28 @@ class TestHookContentRoute:
             hopf_sln_minor(EMPTY, Partition((1, 1, 1)), 2)
 
     def test_inexact_quotient_is_an_internal_error(self, monkeypatch):
+        # Lift the numerator by one missing bracket too few: for mu = (2, 1)
+        # at n = 3 the excess hook brackets [1][1] must then divide [4]
+        # alone, which has the factor s - 1 only once, so the packed
+        # division leaves a remainder.
+        real = ring._over_packed
+        raised = []
+
+        def short(terms, nvars, missing, excess, den):
+            try:
+                return real(terms, nvars, sorted(missing)[1:], excess, den)
+            except ConsistencyError:
+                raised.append(excess)
+                raise
+
         sln._hook_content.cache_clear()
-        # RingElem.over falls back to dividing out the excess hook brackets
-        # one at a time when its packed quotient is declined
-        monkeypatch.setattr(ring, "_over_packed", lambda *args: None)
-        monkeypatch.setattr(ring, "_div_terms_1var", lambda num, den: None)
-        with pytest.raises(ConsistencyError):
-            hopf_sln_minor(Partition((1,)), Partition((2, 1)), 3)
+        monkeypatch.setattr(ring, "_over_packed", short)
+        try:
+            with pytest.raises(ConsistencyError):
+                hopf_sln_minor(Partition((1,)), Partition((2, 1)), 3)
+        finally:
+            sln._hook_content.cache_clear()
+        assert raised == [[1, 1]]
 
 
 def product_hook_content(mu, n):
