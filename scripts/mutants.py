@@ -89,14 +89,21 @@ MUTANTS = (
     ),
     Mutant(
         "over-skips-one-excess-bracket", "src/hopfly/ring.py",
-        "excess = sorted((have - want).elements(), reverse=True)",
-        "excess = sorted((have - want).elements(), reverse=True)[1:]",
+        "tuple(sorted((h - w).elements(), reverse=True))",
+        "tuple(sorted((h - w).elements(), reverse=True))[1:]",
         ("tests/test_ring.py::test_over_rewrites_the_denominator",
-         "tests/test_ring.py::test_over_by_slices_matches_per_bracket_division"),
+         "tests/test_ring.py::test_packed_over_matches_per_bracket_division"),
+    ),
+    Mutant(
+        "plan-contains-by-sets", "src/hopfly/ring.py",
+        "tuple(sorted((h - w).elements(), reverse=True))",
+        "tuple(sorted(set(h) - set(w), reverse=True))",
+        ("tests/test_ring.py::test_lift_across_a_q_binomial_is_cross_multiplication",
+         "tests/test_ring.py::test_packed_over_matches_per_bracket_division"),
     ),
     Mutant(
         "lift-across-brackets-drops-one", "src/hopfly/ring.py",
-        "return x.over(den.elements()).num", "return x.over(list(den.elements())[1:]).num",
+        "return x.over(den).num", "return x.over(den[1:]).num",
         ("tests/test_ring.py::test_lift_across_a_q_binomial_is_cross_multiplication",
          "tests/test_series.py::test_cauchy_coefficient_k_is_over_one_factorial"),
     ),
@@ -109,10 +116,23 @@ MUTANTS = (
     ),
     Mutant(
         "lattice-step-on-a-mixed-axis", "src/hopfly/ring.py",
-        "hs = int(_one_parity(sa_all) and _one_parity(sb_all))",
-        "hs = int(_one_parity(sa_all) or _one_parity(sb_all))",
+        "None if apar is None or bpar is None else apar ^ bpar",
+        "(apar or 0) ^ (bpar or 0)",
         ("tests/test_ring.py::test_packed_mul_matches_term_loop",
          "tests/test_ring.py::test_mixed_parity_products_take_full_layout"),
+    ),
+    Mutant(
+        "packed-sum-bound-counts-first-pair", "src/hopfly/ring.py",
+        "* min(len(a), len(b))\n                for _, a, b in pairs)",
+        "* min(len(a), len(b))\n                for _, a, b in pairs[:1])",
+        ("tests/test_ring.py::test_packed_mul_at_slot_width_bound",),
+    ),
+    Mutant(
+        "packed-sum-step-ignores-other-pairs", "src/hopfly/ring.py",
+        "h = int(len(parities) == 1 and None not in parities)",
+        "h = int(None not in parities)",
+        ("tests/test_ring.py::test_pairs_on_different_cosets_take_the_full_layout",
+         "tests/test_ring.py::test_packed_sum_matches_term_loop"),
     ),
     Mutant(
         "monomial-operand-not-scaled", "src/hopfly/ring.py",

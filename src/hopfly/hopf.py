@@ -19,6 +19,7 @@ l(mu) < mu_1, its h-form of order l(mu) on H_lam.  Ties keep Jacobi-Trudy.
 
 from __future__ import annotations
 
+import collections
 import functools
 from typing import Iterable
 
@@ -94,7 +95,41 @@ def times_factors(
     return series
 
 
-@functools.lru_cache(maxsize=None)
+_CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _PrefixMemo:
+    """Memo of one decoration series per diagram, built at the largest
+    degree asked for so far.  Coefficient k of the series depends only on
+    coefficients up to k, so a call at a lower degree returns a prefix of
+    the kept series, the same representation that a build at that degree
+    gives.  ``__wrapped__`` is the uncached function; ``cache_info`` and
+    ``cache_clear`` behave as those of ``functools.lru_cache``, a miss
+    being a build."""
+
+    def __init__(self, build):
+        functools.update_wrapper(self, build)
+        self._series: dict = {}
+        self._hits = self._misses = 0
+
+    def __call__(self, lam: Partition, degree: int) -> TruncatedSeries:
+        series = self._series.get(lam)
+        if series is None or series.degree < degree:
+            self._misses += 1
+            series = self._series[lam] = self.__wrapped__(lam, degree)
+        else:
+            self._hits += 1
+        return series if series.degree == degree else TruncatedSeries(series.coeffs[:degree + 1])
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, None, len(self._series))
+
+    def cache_clear(self) -> None:
+        self._series.clear()
+        self._hits = self._misses = 0
+
+
+@_PrefixMemo
 def elementary_series(lam: Partition, degree: int) -> TruncatedSeries:
     """Column series E_lam = E_empty * prod_i (1 + u_i t) / (1 + w_i t) over
     the diagonal-hook factors (u_i, w_i) of lam."""
@@ -113,7 +148,7 @@ def elementary_series_by_rows(lam: Partition, degree: int) -> TruncatedSeries:
     return times_factors(elementary_series_empty(degree), pairs)
 
 
-@functools.lru_cache(maxsize=None)
+@_PrefixMemo
 def complete_series(lam: Partition, degree: int) -> TruncatedSeries:
     """Row series H_lam = 1 / E_lam(-t), as the mirror product
     H_empty * prod_i (1 - w_i t) / (1 - u_i t)."""

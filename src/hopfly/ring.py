@@ -13,31 +13,39 @@ Two value types live here:
   Equality never depends on normalisation: two elements are equal iff they
   agree after cross multiplication.
 
-Kernels: two multiply and one divides.  A product with a one-term operand
-shifts the other operand's keys and scales its coefficients.  A product of
-dense operands, with at least ``_PACKED_MIN_PRODUCTS_PER_SLOT`` term
-products per coefficient slot of the result, goes to ``_mul_packed``
-(Kronecker substitution): each operand is packed into one Python int, the
-ints are multiplied, and the result is decoded once.  Each exponent axis
-whose exponents have one parity within each operand is packed at step 2,
-and when every term of each operand then has one parity of the packed
-e_v + e_s, only every other slot can be occupied, and the kernel packs
-those alone.  Every Jacobi-Trudy entry and Giambelli hook value lies on a
-coset of 2Z x 2Z, so those products pack a quarter of their exponent box;
-a checkerboard of e_v + e_s, and a one-variable product of one parity,
-pack half.  Every other product goes to the term loop ``_addmul``
-(acc += a * b), and exact division to ``_div_terms_1var``, one sweep down
-the dividend's exponents over a dense remainder list, both over int-keyed
-term dicts.  For those two, two-variable terms are keyed ``(e_v, e_s)``
-and cut into v-slices ``{e_v: {e_s: c}}`` per call: a product multiplies
-slice pairs, and an exact quotient is long division in v, one slice
-division per step.  Values are stored as term dicts either way; packing
-lives only inside one multiply or one ``RingElem.over``.
+Kernels: one multiplies and one divides.  Almost every value is a sum of
+products (a Cauchy coefficient of a series product or inverse, a Giambelli
+hook value, a minor of the determinant expansion), and a product is a sum
+of one.  A sum with at least ``_PACKED_MIN_PRODUCTS_PER_SLOT`` term
+products per coefficient slot of the union of its products' exponent
+boxes goes to ``_mul_packed`` (Kronecker substitution): every operand is
+packed into one Python int over that shared layout, each pair's integer
+product is shifted onto it, the signed products are added, and the sum is
+decoded once.  Each exponent axis whose exponents have one parity within
+each operand, and one parity of min a + min b across the pairs, is packed
+at step 2, and when every pair's products then land on slots of one
+parity of the packed e_v + e_s, only every other slot can be occupied,
+and the kernel packs those alone.  Every Jacobi-Trudy entry and Giambelli
+hook value lies on a coset of 2Z x 2Z, so those products pack a quarter
+of their exponent box; a checkerboard of e_v + e_s, and a one-variable
+product of one parity, pack half.  A product with a one-term operand
+shifts the other operand's keys and scales its coefficients.  The
+products of a sparser sum each go to the term loop ``_addmul``
+(acc += a * b), or alone to ``_mul_packed`` when dense enough by
+themselves, and are added term by term.  Exact division is
+``_div_terms_1var``, one sweep down the dividend's exponents over a dense
+remainder list.  For those two, two-variable terms are keyed
+``(e_v, e_s)`` and cut into v-slices ``{e_v: {e_s: c}}`` per call: a
+product multiplies slice pairs, and an exact quotient is long division in
+v, one slice division per step.  Values are stored as term dicts either
+way; packing lives only inside one sum or one ``RingElem.over``.
 
-Denominators: ``_lift`` rewrites a numerator over a bracket multiset
-whose product the numerator's own bracket product divides.  Over a larger
-multiset, which is all that equality, addition, ``den_poly`` and
-``det_fractions`` need, it multiplies by one bracket s**k - s**-k at a
+Denominators: bracket multisets are sorted tuples, and ``_bracket_plan``
+works out, once per pair of them, their union and the brackets each one
+lacks.  ``_lift`` rewrites a numerator over a bracket multiset whose
+product the numerator's own bracket product divides.  Over a multiset
+that contains its own, which is all that equality, addition, ``den_poly``
+and ``det_fractions`` need, it multiplies by one bracket s**k - s**-k at a
 time, as a shift up minus a shift down.  Otherwise ``RingElem.over``
 writes it over the multiset, which multiplies it by a quotient of bracket
 products such as the q-binomial [1]...[k] / ([1]...[i] [1]...[k-i]);
@@ -56,8 +64,9 @@ ones, at a slot width that doubles until the quotient fits its slots.  A
 bracket that does not divide exactly raises ``ConsistencyError``.
 
 Determinants: memoised minor expansion on the column set, for every matrix
-the library builds.  Fraction-free Bareiss elimination (``_det_bareiss``)
-is kept only as the independent oracle of the ``bialternant`` verify check.
+the library builds; each minor is one signed sum of products.
+Fraction-free Bareiss elimination (``_det_bareiss``) is kept only as the
+independent oracle of the ``bialternant`` verify check.
 
 All values are immutable after construction and safe to share.
 """
@@ -185,12 +194,19 @@ def _div_terms_2var(num: dict, den: dict) -> Optional[dict]:
 
 
 # ---------------------------------------------------------------------------
-# the packed (Kronecker substitution) multiply for dense operands
+# the packed (Kronecker substitution) multiply-accumulate for dense sums of
+# products
 
 
-# Least number of term products per slot of the packed product (counting
-# the slots of its compressed, possibly halved layout) at which
-# ``_mul_packed`` replaces the term loop.  Each product of two operands of
+# Least number of term products per slot of a packed sum of products
+# (counting the slots of its compressed, possibly halved layout of the
+# union box) at which ``_mul_packed`` replaces the term loop.  Replaying
+# every sum of the three default-seed benchmark workloads (best of 7, four
+# rounds), thresholds 1, 1.5, 2, 3 and 4 stayed within the host's noise
+# of each other, about 10 %: verify's sums took 0.32-0.47 s, against
+# 1.08-1.37 s on the term loop alone; ladder's 0.040-0.068 s against
+# 0.93-1.08 s; sln's 0.005-0.009 s against 0.009-0.014 s.  So the value
+# chosen for single products stands: each product of two operands of
 # at least two terms, in each default-seed benchmark workload, was timed on
 # both kernels (replayed operands, best of 5 per product, Python 3.11.7,
 # shared 2-vCPU host), and each threshold charged the kernel it picks.
@@ -272,69 +288,153 @@ def _one_parity(keys: list) -> bool:
     return not (functools.reduce(operator.or_, keys) ^ functools.reduce(operator.and_, keys)) & 1
 
 
-def _mul_packed(a: dict, b: dict, nvars: int) -> Optional[dict]:
-    """a * b for term dicts of either arity by Kronecker substitution, or
-    None when the operands are too sparse for it to pay.
+def _box(x: dict, nvars: int) -> list:
+    """Per exponent axis of the term dict x (s alone, or v then s): its least
+    and greatest exponent, and their common parity, or None when they take
+    both."""
+    out = []
+    for keys in ((x,) if nvars == 1 else zip(*x)):
+        lo = min(keys)
+        out.append((lo, max(keys), lo & 1 if _one_parity(keys) else None))
+    return out
 
-    Each operand, shifted to exponents >= 0, becomes one integer with a
-    slot of w bytes per exponent (per (e_v, e_s) pair, s varying fastest
-    with an odd stride above the product's s-span); one integer product
-    and one decode give every coefficient.  In two variables each axis is
-    first compressed by its step: 2 when every exponent on it has one
-    parity within each operand, so that the product's exponents on it do
-    too, else 1.  Then, when each operand's slot indices share one parity,
-    which the odd stride makes true whenever e_v + e_s does on the
-    compressed lattice, slot k is packed at k >> 1: the two integers and
-    the decode are halved, and product slot i is index 2i + p_a + p_b.  So
-    a product on a coset of 2Z x 2Z, as every Jacobi-Trudy entry and
-    Giambelli hook value is, packs a quarter of its exponent box, and one
-    of one parity of e_v + e_s alone (a checkerboard) or in one variable
-    half of it.  A product coefficient sums at most min(#a, #b) term
-    products, which bounds it and so fixes w.
+
+def _mul_packed(pairs: list, nvars: int) -> Optional[dict]:
+    """The sum of sign * a * b over (sign, a, b) triples of nonempty term
+    dicts of either arity, by Kronecker substitution, or None when the
+    products are too sparse for it to pay.
+
+    Every pair is packed into one layout over the union of the products'
+    exponent boxes: a slot of w bytes per exponent (per (e_v, e_s) pair, s
+    varying fastest with an odd stride above the union's s-span).  a is
+    packed from the least corner of its own exponent box, b from that of
+    its own, and their integer product is shifted to the slot of the sum of
+    the two corners, so every product lands on the shared slots; the signed
+    products are added as integers and the sum is decoded once.  Each axis
+    is first compressed by its step: 2 when every operand's exponents on it
+    have one parity and every pair's sum of corners has one parity on it,
+    so that all the products' exponents on it do too, else 1.  Then, when
+    each operand's slot indices share one parity and every pair's products
+    land on slots of one parity P, which the odd stride makes true whenever
+    e_v + e_s has one parity on the compressed lattice, slot k is packed at
+    k >> 1: the integers and the decode are halved, and decoded slot i is
+    index 2i + P.  So products on a coset of 2Z x 2Z, as every Jacobi-Trudy
+    entry and Giambelli hook value is, pack a quarter of their exponent
+    box, and those of one parity of e_v + e_s alone (a checkerboard) or in
+    one variable half of it.  The coefficient of a product sums at most
+    min(#a, #b) term products, so a coefficient of the sum is at most the
+    sum over the pairs of max|a| * max|b| * min(#a, #b), which fixes w.
     """
-    na, nb = len(a), len(b)
     per_slot = _PACKED_MIN_PRODUCTS_PER_SLOT
-    # A product has at least na + nb - 1 slots, even halved: skip the
-    # layout when even that many would be too sparse.  Then reject on the
-    # (n + 1) // 2 slots of a halved product of the exponent box, before
-    # any key list or parity scan.
-    if not (na and nb) or na * nb < per_slot * (na + nb - 1):
+    products = sum(len(a) * len(b) for _, a, b in pairs)
+    # A product has at least #a + #b - 1 slots, even halved: skip the layout
+    # when even the largest such count would be too sparse.  Then reject on
+    # the (n + 1) // 2 slots of a halved layout of the union box, before any
+    # key list or parity scan of the operands' slots.
+    if products < per_slot * max(len(a) + len(b) - 1 for _, a, b in pairs):
         return None
-    if nvars == 1:
-        a0, b0 = min(a), min(b)
-        n = max(a) - a0 + max(b) - b0 + 1
-        if na * nb < per_slot * ((n + 1) // 2):
-            return None
-        keys = range(a0 + b0, a0 + b0 + n)
-        ka = [e - a0 for e in a]
-        kb = [e - b0 for e in b]
-    else:
-        va_all, sa_all = zip(*a)
-        vb_all, sb_all = zip(*b)
-        # hv, hs: log2 of the step on each axis
-        hv = int(_one_parity(va_all) and _one_parity(vb_all))
-        hs = int(_one_parity(sa_all) and _one_parity(sb_all))
-        va, vb, sa0, sb0 = min(va_all), min(vb_all), min(sa_all), min(sb_all)
-        stride = ((max(sa_all) - sa0 + max(sb_all) - sb0 >> hs) + 1) | 1
-        rows = (max(va_all) - va + max(vb_all) - vb >> hv) + 1
-        n = rows * stride
-        if na * nb < per_slot * ((n + 1) // 2):
-            return None
-        keys = itertools.product(range(va + vb, va + vb + (rows << hv), 1 << hv),
-                                 range(sa0 + sb0, sa0 + sb0 + (stride << hs), 1 << hs))
-        ka = [(ev - va >> hv) * stride + (es - sa0 >> hs) for ev, es in a]
-        kb = [(ev - vb >> hv) * stride + (es - sb0 >> hs) for ev, es in b]
-    if _one_parity(ka) and _one_parity(kb):
-        keys = itertools.islice(keys, (ka[0] & 1) + (kb[0] & 1), None, 2)
-        ka = [k >> 1 for k in ka]
-        kb = [k >> 1 for k in kb]
-        n = (n + 1) // 2
-    elif na * nb < per_slot * n:
+    boxes = [(_box(a, nvars), _box(b, nvars)) for _, a, b in pairs]
+    # per axis, v then s: the products' least exponent, log2 of the step,
+    # and the number of slots
+    layout = [(0, 0, 1)] if nvars == 1 else []
+    for axis in range(nvars):
+        los, his, parities = [], [], set()
+        for box_a, box_b in boxes:
+            (alo, ahi, apar), (blo, bhi, bpar) = box_a[axis], box_b[axis]
+            los.append(alo + blo)
+            his.append(ahi + bhi)
+            parities.add(None if apar is None or bpar is None else apar ^ bpar)
+        h = int(len(parities) == 1 and None not in parities)
+        layout.append((min(los), h, (max(his) - min(los) >> h) + 1))
+    (lv, hv, rows), (ls, hs, cols) = layout
+    stride = cols | 1 if nvars == 2 else cols
+    n = rows * stride
+    if products < per_slot * ((n + 1) // 2):
         return None
-    bound = max(map(abs, a.values())) * max(map(abs, b.values())) * min(na, nb)
+    keyed = []
+    for (sign, a, b), (box_a, box_b) in zip(pairs, boxes):
+        sa, sb = box_a[-1][0], box_b[-1][0]
+        if nvars == 1:
+            ka = [e - sa >> hs for e in a]
+            kb = [e - sb >> hs for e in b]
+            off = sa + sb - ls >> hs
+        else:
+            va, vb = box_a[0][0], box_b[0][0]
+            ka = [(ev - va >> hv) * stride + (es - sa >> hs) for ev, es in a]
+            kb = [(ev - vb >> hv) * stride + (es - sb >> hs) for ev, es in b]
+            off = (va + vb - lv >> hv) * stride + (sa + sb - ls >> hs)
+        keyed.append((sign, a, b, ka, kb, off))
+    # the parity of the slots every pair's products land on, when each
+    # operand's slots have one parity
+    parities = {(off + ka[0] + kb[0]) & 1 if _one_parity(ka) and _one_parity(kb) else None
+                for _, _, _, ka, kb, off in keyed}
+    halved = len(parities) == 1 and None not in parities
+    if halved:
+        (par,) = parities
+        keyed = [(sign, a, b, [k >> 1 for k in ka], [k >> 1 for k in kb],
+                  off + (ka[0] & 1) + (kb[0] & 1) - par >> 1)
+                 for sign, a, b, ka, kb, off in keyed]
+        n = (n - par + 1) // 2
+    elif products < per_slot * n:
+        return None
+    bound = sum(max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
+                for _, a, b in pairs)
     w = bound.bit_length() // 8 + 1
-    coeffs = _unpack(_pack(ka, a.values(), w) * _pack(kb, b.values(), w), w, n)
+    bits = 8 * w
+    total = 0
+    for sign, a, b, ka, kb, off in keyed:
+        p = _pack(ka, a.values(), w) * _pack(kb, b.values(), w) << bits * off
+        total = total + p if sign > 0 else total - p
+    coeffs = _unpack(total, w, n)
+    keys = range(ls, ls + (stride << hs), 1 << hs)
+    if nvars == 2:
+        keys = itertools.product(range(lv, lv + (rows << hv), 1 << hv), keys)
+    if halved:
+        keys = itertools.islice(keys, par, None, 2)
     return dict(zip(itertools.compress(keys, coeffs), itertools.compress(coeffs, coeffs)))
+
+
+def _mul_terms(a: dict, b: dict, nvars: int) -> dict:
+    """Terms of a * b for nonempty term dicts: a one-term operand shifts the
+    other's keys and scales its coefficients; a dense pair goes to
+    ``_mul_packed``, and the rest to the term loop."""
+    if len(a) == 1 or len(b) == 1:
+        big, mono = (a, b) if len(b) == 1 else (b, a)
+        ((e0, c0),) = mono.items()
+        if nvars == 1:
+            return {e + e0: c * c0 for e, c in big.items()}
+        v0, s0 = e0
+        return {(ev + v0, es + s0): c * c0 for (ev, es), c in big.items()}
+    data = _mul_packed([(1, a, b)], nvars)
+    if data is None and nvars == 1:
+        data = {}
+        _addmul(data, a, b)
+    elif data is None:
+        sb = _slices(b)
+        prod: dict = {}
+        for va, sa in _slices(a).items():
+            for vb, sl in sb.items():
+                _addmul(prod.setdefault(va + vb, {}), sa, sl)
+        data = _flatten(prod)
+    return data
+
+
+def _sum_terms(pairs: list, nvars: int) -> dict:
+    """Terms of the sum of sign * a * b over (sign, a, b) triples of nonempty
+    term dicts: one ``_mul_packed`` call for the whole sum when it is dense
+    enough, else each product by ``_mul_terms``, added term by term."""
+    if len(pairs) > 1:
+        data = _mul_packed(pairs, nvars)
+        if data is not None:
+            return data
+    elif pairs and pairs[0][0] > 0:
+        return _mul_terms(pairs[0][1], pairs[0][2], nvars)
+    acc: dict = {}
+    get = acc.get
+    for sign, a, b in pairs:
+        for e, c in _mul_terms(a, b, nvars).items():
+            acc[e] = get(e, 0) + c if sign > 0 else get(e, 0) - c
+    return {e: c for e, c in acc.items() if c}
 
 
 def _from_terms(data: dict, nvars: int) -> "LaurentPoly":
@@ -377,9 +477,11 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, coeff: int = 1, v: int = 0, s: int = 0, nvars: int = 2) -> "LaurentPoly":
         """coeff * v**v * s**s; a one-variable monomial has ``v == 0``."""
+        if nvars not in (1, 2):
+            raise ValueError(f"nvars must be 1 or 2, got {nvars!r}")
         if nvars == 1 and v:
             raise ValueError("a one-variable monomial has no v exponent")
-        return cls({(v, s) if nvars == 2 else s: coeff}, nvars)
+        return _from_terms({(v, s) if nvars == 2 else s: coeff} if coeff else {}, nvars)
 
     @classmethod
     def constant(cls, c: int, nvars: int = 2) -> "LaurentPoly":
@@ -387,11 +489,11 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, nvars: int = 2) -> "LaurentPoly":
-        return cls((), nvars)
+        return cls.monomial(0, nvars=nvars)
 
     @classmethod
     def one(cls, nvars: int = 2) -> "LaurentPoly":
-        return cls.constant(1, nvars)
+        return cls.monomial(1, nvars=nvars)
 
     @classmethod
     def quantum_bracket(cls, k: int, nvars: int = 2) -> "LaurentPoly":
@@ -465,28 +567,9 @@ class LaurentPoly:
             return _from_terms({e: c * other for e, c in self._terms.items()}, self.nvars)
         if not isinstance(other, LaurentPoly) or other.nvars != self.nvars:
             return NotImplemented
-        if len(other._terms) == 1 or len(self._terms) == 1:
-            # a monomial operand: shift the other's keys and scale
-            big, mono = (self, other) if len(other._terms) == 1 else (other, self)
-            ((e0, c0),) = mono._terms.items()
-            if self.nvars == 1:
-                data = {e + e0: c * c0 for e, c in big._terms.items()}
-            else:
-                v0, s0 = e0
-                data = {(ev + v0, es + s0): c * c0 for (ev, es), c in big._terms.items()}
-            return _from_terms(data, self.nvars)
-        data = _mul_packed(self._terms, other._terms, self.nvars)
-        if data is None and self.nvars == 1:
-            data = {}
-            _addmul(data, self._terms, other._terms)
-        elif data is None:
-            sb = _slices(other._terms)
-            prod: dict = {}
-            for va, sa in _slices(self._terms).items():
-                for vb, sl in sb.items():
-                    _addmul(prod.setdefault(va + vb, {}), sa, sl)
-            data = _flatten(prod)
-        return _from_terms(data, self.nvars)
+        if not (self._terms and other._terms):
+            return LaurentPoly.zero(self.nvars)
+        return _from_terms(_mul_terms(self._terms, other._terms, self.nvars), self.nvars)
 
     __rmul__ = __mul__
 
@@ -508,7 +591,12 @@ class LaurentPoly:
             raise TypeError("substitute_v needs a two-variable polynomial")
         if n < 1:
             raise ValueError(f"specialisation index must be >= 1, got {n}")
-        return LaurentPoly(((es - n * ev, c) for (ev, es), c in self._terms.items()), 1)
+        data: dict = {}
+        get = data.get
+        for (ev, es), c in self._terms.items():
+            e = es - n * ev
+            data[e] = get(e, 0) + c
+        return _from_terms({e: c for e, c in data.items() if c}, 1)
 
     def exact_div(self, other: "LaurentPoly") -> Optional["LaurentPoly"]:
         """Return q with self == other * q, or None when no such q exists."""
@@ -654,19 +742,36 @@ def _divides(small: tuple, big: tuple) -> bool:
     return phi_counts(small) <= phi_counts(big)
 
 
-def _lift(x: "RingElem", den: Counter) -> LaurentPoly:
-    """Numerator of x over the bracket multiset den; the bracket product of
-    x.den must divide that of den.  When den contains x.den, x.num times
+@functools.lru_cache(maxsize=None)
+def _bracket_plan(have: tuple, want: tuple) -> tuple:
+    """(union, missing, excess) for the sorted bracket tuples have and want:
+    their multiset union, sorted, the brackets of want that have lacks, in
+    ascending order, and those of have that want lacks, in descending order.
+    have is contained in want iff excess is empty.  Bracket multisets repeat
+    across a computation, so each pair is worked out once."""
+    h, w = Counter(have), Counter(want)
+    return (tuple(sorted((h | w).elements())), tuple(sorted((w - h).elements())),
+            tuple(sorted((h - w).elements(), reverse=True)))
+
+
+def _union(dens: Iterable[tuple]) -> tuple:
+    """The multiset union of sorted bracket tuples, sorted."""
+    return functools.reduce(lambda a, b: _bracket_plan(a, b)[0], dens, ())
+
+
+def _lift(x: "RingElem", den: tuple) -> LaurentPoly:
+    """Numerator of x over the sorted bracket tuple den; the bracket product
+    of x.den must divide that of den.  When den contains x.den, x.num times
     each extra bracket in turn, O(#num) per bracket; otherwise
     ``RingElem.over`` also divides out the brackets of x.den that den
     lacks."""
+    _, missing, excess = _bracket_plan(x.den, den)
+    if excess:
+        return x.over(den).num
     num = x.num
-    have = Counter(x.den)
-    if have <= den:
-        for k in (den - have).elements():
-            num = _from_terms(_times_bracket(num._terms, k, num.nvars), num.nvars)
-        return num
-    return x.over(den.elements()).num
+    for k in missing:
+        num = _from_terms(_times_bracket(num._terms, k, num.nvars), num.nvars)
+    return num
 
 
 def sum_of_products(pairs: Iterable[tuple["RingElem", "RingElem"]], nvars: int) -> "RingElem":
@@ -675,8 +780,9 @@ def sum_of_products(pairs: Iterable[tuple["RingElem", "RingElem"]], nvars: int) 
     That is a term's own multiset when every other term's bracket product
     divides it (``_divides``), as [1]...[k] does each e_i h_(k-i) of a
     Cauchy product of decoration series; otherwise the union of all of
-    them.  Each term lifts its factor with fewer terms before the
-    multiply, and the numerators accumulate in one term dict.
+    them.  Each term lifts its factor with fewer terms to that multiset,
+    and ``_sum_terms`` adds the numerator products, on one packed integer
+    when they are dense enough.
     """
     terms = [(x, y, tuple(sorted(x.den + y.den))) for x, y in pairs if x and y]
     if not terms:
@@ -684,20 +790,14 @@ def sum_of_products(pairs: Iterable[tuple["RingElem", "RingElem"]], nvars: int) 
     dens = {d for _, _, d in terms}
     den = max(dens, key=sum)
     if not all(_divides(d, den) for d in dens):
-        union = Counter()
-        for d in dens:
-            union |= Counter(d)
-        den = tuple(sorted(union.elements()))
-    want = Counter(den)
-    acc: dict = {}
-    get = acc.get
+        den = _union(dens)
+    products = []
     for x, y, d in terms:
         if len(x.num._terms) > len(y.num._terms):
             x, y = y, x
-        lifted = x.num if d == den else _lift(RingElem(x.num, d), want)
-        for e, c in (lifted * y.num)._terms.items():
-            acc[e] = get(e, 0) + c
-    return RingElem(_from_terms({e: c for e, c in acc.items() if c}, nvars), den)
+        lifted = x.num if d == den else _lift(RingElem(x.num, d), den)
+        products.append((1, lifted._terms, y.num._terms))
+    return RingElem(_from_terms(_sum_terms(products, nvars), nvars), den)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -713,10 +813,10 @@ class RingElem:
     den: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if any(k < 1 for k in self.den):
+        den = tuple(sorted(self.den))
+        if den and den[0] < 1:
             raise ValueError(f"bracket indices must be >= 1, got {self.den}")
-        den = () if self.num.is_zero() else tuple(sorted(self.den))
-        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "den", () if self.num.is_zero() else den)
 
     __hash__ = None  # value equality is cross-multiplicative; not hashable
 
@@ -735,13 +835,13 @@ class RingElem:
 
     def den_poly(self) -> LaurentPoly:
         """The denominator prod(s**k - s**-k) as a Laurent polynomial."""
-        return _lift(RingElem(LaurentPoly.one(self.num.nvars)), Counter(self.den))
+        return _lift(RingElem(LaurentPoly.one(self.num.nvars)), self.den)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        den = Counter(self.den) | Counter(other.den)
+        den = _bracket_plan(self.den, other.den)[0]
         return _lift(self, den) == _lift(other, den)
 
     def __neg__(self) -> "RingElem":
@@ -753,8 +853,8 @@ class RingElem:
             return NotImplemented
         if self.den == other.den:
             return RingElem(self.num + other.num, self.den)
-        den = Counter(self.den) | Counter(other.den)
-        return RingElem(_lift(self, den) + _lift(other, den), tuple(den.elements()))
+        den = _bracket_plan(self.den, other.den)[0]
+        return RingElem(_lift(self, den) + _lift(other, den), den)
 
     __radd__ = __add__
 
@@ -792,14 +892,12 @@ class RingElem:
         at every numerator size from 1 term up, so no size threshold gates
         it.
         """
-        want = Counter(brackets)
-        have = Counter(self.den)
-        excess = sorted((have - want).elements(), reverse=True)
-        missing = list((want - have).elements())
+        want = tuple(sorted(brackets))
+        _, missing, excess = _bracket_plan(self.den, want)
         num = self.num
         if num and (missing or excess):
             num = _from_terms(_over_packed(num._terms, num.nvars, missing, excess, self.den), num.nvars)
-        return RingElem(num, tuple(want.elements()))
+        return RingElem(num, want)
 
     def substitute_v(self, n: int) -> "RingElem":
         """Image under the ring map v -> s**-n; the brackets stay as they are."""
@@ -830,6 +928,10 @@ def determinant(matrix: Sequence[Sequence]):
 
 
 def _det_expansion(matrix):
+    """Laplace expansion along the rows, memoised on the set of columns
+    left: the minor on the last rows and a column set is the signed sum,
+    over its columns, of the entry in its first row times the minor on the
+    other columns, which ``_sum_terms`` adds as one sum of products."""
     n = len(matrix)
     nvars = matrix[0][0].nvars
     memo = {0: LaurentPoly.one(nvars)}
@@ -839,18 +941,19 @@ def _det_expansion(matrix):
         if cached is not None:
             return cached
         row = n - bin(mask).count("1")
-        total = LaurentPoly.zero(nvars)
+        products = []
         sign = 1
         m = mask
         while m:
             bit = m & (-m)
-            col = bit.bit_length() - 1
-            entry = matrix[row][col]
+            entry = matrix[row][bit.bit_length() - 1]
             if entry:
-                term = entry * minor(mask & ~bit)
-                total = total + term if sign > 0 else total - term
+                sub = minor(mask & ~bit)
+                if sub:
+                    products.append((sign, entry._terms, sub._terms))
             sign = -sign
             m &= m - 1
+        total = _from_terms(_sum_terms(products, nvars), nvars)
         memo[mask] = total
         return total
 
@@ -900,10 +1003,8 @@ def det_fractions(matrix: Sequence[Sequence[RingElem]]) -> RingElem:
     cleared = []
     total_den: list[int] = []
     for row in matrix:
-        den = Counter()
-        for entry in row:
-            den |= Counter(entry.den)
-        total_den.extend(den.elements())
+        den = _union(entry.den for entry in row)
+        total_den.extend(den)
         cleared.append([_lift(entry, den) for entry in row])
     return RingElem(determinant(cleared), tuple(total_den))
 

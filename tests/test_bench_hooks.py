@@ -72,7 +72,7 @@ def test_packed_product_is_counted():
     # threshold, so the product bypasses the term loop but not the tracer.
     dense = ring.LaurentPoly({e: e * e + 1 for e in range(-10, 20)}, nvars=1)
     terms = dict(dense.items())
-    assert ring._mul_packed(terms, terms, 1) is not None
+    assert ring._mul_packed([(1, terms, terms)], 1) is not None
     tracer = tracing.Tracer().install()
     try:
         dense * dense

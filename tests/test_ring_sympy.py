@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import hopfly.ring as ring
 from hopfly.hopf import hopf_invariant
 from hopfly.partitions import partitions_up_to
-from hopfly.ring import LaurentPoly, RingElem
+from hopfly.ring import ConsistencyError, LaurentPoly, RingElem
 
 sympy = pytest.importorskip("sympy")
 
@@ -91,8 +91,8 @@ def test_dense_mul_is_packed_and_matches_sympy(data):
     calls = []
     real = ring._mul_packed
 
-    def spy(x, y, nvars):
-        out = real(x, y, nvars)
+    def spy(pairs, nvars):
+        out = real(pairs, nvars)
         calls.append(out is not None)
         return out
 
@@ -143,6 +143,63 @@ def test_lattice_mul_is_packed_and_matches_sympy(a, b):
     assert exps(product) == from_sympy(pa * pb, shift)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_packed_sum_matches_sympy(data):
+    # 2 to 4 signed products of dense or lattice operands, each moved by its
+    # own monomial so that the pairs' products may lie on different cosets
+    # of 2Z (x 2Z), added on one packed integer however sparse the sum
+    n = data.draw(arity)
+    operand = dense_laurent(n) if n == 1 else st.one_of(dense_laurent(2), lattice_laurent())
+    shift = st.integers(-3, 3)
+
+    def moved(p):
+        e = data.draw(shift) if n == 1 else (data.draw(shift), data.draw(shift))
+        return p * LaurentPoly({e: 1}, n)
+
+    pairs = [(data.draw(st.sampled_from((1, -1))), moved(data.draw(operand)), moved(data.draw(operand)))
+             for _ in range(data.draw(st.integers(2, 4)))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ring, "_PACKED_MIN_PRODUCTS_PER_SLOT", 0)
+        got = ring._mul_packed([(sign, dict(a.items()), dict(b.items())) for sign, a, b in pairs], n)
+    # every product moved to one common exponent origin before sympy adds
+    gens = (V, S) if n == 2 else (S,)
+    shifted = [(sign, to_sympy(a), to_sympy(b)) for sign, a, b in pairs]
+    low = [min(sa[i] + sb[i] for _, (_, sa), (_, sb) in shifted) for i in range(n)]
+    total = sympy.Poly(0, *gens, domain=sympy.ZZ)
+    for sign, (pa, sa), (pb, sb) in shifted:
+        origin = sympy.Poly.from_dict({tuple(x + y - lo for x, y, lo in zip(sa, sb, low)): sign},
+                                      *gens, domain=sympy.ZZ)
+        total += pa * pb * origin
+    assert {(e if n == 2 else (e,)): c for e, c in got.items()} == from_sympy(total, low)
+
+
+def packed_over_outcomes(mp):
+    """Record, per ``_over_packed`` call, 'packed' or 'raised' and how many
+    times it doubled its slot width."""
+    seen = []
+    widths = []
+    real_over, real_pack = ring._over_packed, ring._pack
+
+    def pack(keys, coeffs, w):
+        widths.append(w)
+        return real_pack(keys, coeffs, w)
+
+    def spy(*args):
+        widths.clear()
+        try:
+            out = real_over(*args)
+        except ConsistencyError:
+            seen.append(("raised", len(widths) - 1))
+            raise
+        seen.append(("packed", len(widths) - 1))
+        return out
+
+    mp.setattr(ring, "_pack", pack)
+    mp.setattr(ring, "_over_packed", spy)
+    return seen
+
+
 def bracket_poly(ks):
     """prod (s**(2k) - 1) over ks as a sympy Poly in v, s: the bracket
     product prod [k] times s**sum(ks)."""
@@ -162,11 +219,10 @@ def test_packed_over_matches_sympy(data):
     num = base
     for k in factors:
         num = num * LaurentPoly.quantum_bracket(k)
-    assume(len(num.items()) >= 64)
     with pytest.MonkeyPatch.context() as mp:
-        calls = packed_spy(mp, "_over_packed")
+        outcomes = packed_over_outcomes(mp)
         got = RingElem(num, tuple(factors)).over(target)
-    assert calls == [True]
+    assert outcomes == [("packed", 0)]
     assert got.den == tuple(sorted(target))
     # num * prod [target] / prod [factors], divided by sympy
     pn, (sv, ss) = to_sympy(num)

@@ -312,7 +312,7 @@ class TestHookContentRoute:
             try:
                 return real(terms, nvars, sorted(missing)[1:], excess, den)
             except ConsistencyError:
-                raised.append(excess)
+                raised.append(list(excess))
                 raise
 
         sln._hook_content.cache_clear()
