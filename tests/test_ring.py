@@ -1023,6 +1023,27 @@ def over_per_bracket(x, brackets):
     return RingElem(num, tuple(want.elements()))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_over_by_slices_matches_per_bracket_division(data):
+    nvars = data.draw(st.sampled_from((1, 2)))
+    base = data.draw(boxed_poly(nvars))
+    factors = data.draw(st.lists(st.integers(1, 5), max_size=4))
+    extra = data.draw(st.lists(st.integers(1, 5), max_size=2))
+    x = RingElem(base * bracket_product(factors, nvars), (*factors, *extra))
+    target = data.draw(st.lists(st.sampled_from((*factors, *extra, 6)), max_size=5))
+    try:
+        expected = over_per_bracket(x, target)
+    except ConsistencyError:
+        with pytest.raises(ConsistencyError):
+            x.over(target)
+        return
+    got = x.over(target)
+    assert got.den == expected.den == (() if got.is_zero() else tuple(sorted(target)))
+    assert got.num == expected.num
+    assert got == x
+
+
 def test_over_refuses_when_one_slice_does_not_divide():
     # v * (s - s^-1) + 1: the v^1 slice divides by [1], the v^0 slice does not
     num = P2({(1, 1): 1, (1, -1): -1, (0, 0): 1})
