@@ -139,6 +139,18 @@ MUTANTS = (
         "{(ev + v0, es + s0): c * c0 for", "{(ev + v0, es + s0): c for",
         ("tests/test_ring.py::test_sparse_products_stay_on_term_loop",),
     ),
+    # the two-variable term jobs on the one-variable kernels
+    Mutant(
+        "exact-div-skips-s-window", "src/hopfly/ring.py",
+        "if quo is None or any(i % k > room for i in quo):", "if quo is None:",
+        ("tests/test_ring.py::test_wrapped_slot_quotient_is_not_a_quotient",),
+    ),
+    Mutant(
+        "sparse-layout-stride-one-short", "src/hopfly/ring.py",
+        "k = span_a + span_b + 1", "k = span_a + span_b",
+        ("tests/test_ring.py::test_sparse_products_stay_on_term_loop",
+         "tests/test_ring.py::test_packed_mul_matches_term_loop"),
+    ),
     # the packed RingElem.over
     Mutant(
         "packed-over-skips-row-room-check", "src/hopfly/ring.py",

@@ -13,32 +13,36 @@ Two value types live here:
   Equality never depends on normalisation: two elements are equal iff they
   agree after cross multiplication.
 
-Kernels: one multiplies and one divides.  Almost every value is a sum of
-products (a Cauchy coefficient of a series product or inverse, a Giambelli
-hook value, a minor of the determinant expansion), and a product is a sum
-of one.  A sum with at least ``_PACKED_MIN_PRODUCTS_PER_SLOT`` term
-products per coefficient slot of the union of its products' exponent
-boxes goes to ``_mul_packed`` (Kronecker substitution): every operand is
-packed into one Python int over that shared layout, each pair's integer
-product is shifted onto it, the signed products are added, and the sum is
-decoded once.  Each exponent axis whose exponents have one parity within
-each operand, and one parity of min a + min b across the pairs, is packed
-at step 2, and when every pair's products then land on slots of one
-parity of the packed e_v + e_s, only every other slot can be occupied,
-and the kernel packs those alone.  Every Jacobi-Trudy entry and Giambelli
-hook value lies on a coset of 2Z x 2Z, so those products pack a quarter
-of their exponent box; a checkerboard of e_v + e_s, and a one-variable
-product of one parity, pack half.  A product with a one-term operand
-shifts the other operand's keys and scales its coefficients.  The
-products of a sparser sum each go to the term loop ``_addmul``
-(acc += a * b), or alone to ``_mul_packed`` when dense enough by
-themselves, and are added term by term.  Exact division is
-``_div_terms_1var``, one sweep down the dividend's exponents over a dense
-remainder list.  For those two, two-variable terms are keyed
-``(e_v, e_s)`` and cut into v-slices ``{e_v: {e_s: c}}`` per call: a
-product multiplies slice pairs, and an exact quotient is long division in
-v, one slice division per step.  Values are stored as term dicts either
-way; packing lives only inside one sum or one ``RingElem.over``.
+Kernels: one term loop, one division sweep and one slot layout, for both
+arities.  Almost every value is a sum of products (a Cauchy coefficient
+of a series product or inverse, a Giambelli hook value, a minor of the
+determinant expansion), and a product is a sum of one.  Two-variable
+terms are keyed ``(e_v, e_s)``; inside a kernel they become slots
+(``_slot_keys``): rows of a stride K above the s-span, counted from the
+least corner, which is Kronecker substitution v = X**K, s = X.  A sum
+with at least ``_PACKED_MIN_PRODUCTS_PER_SLOT`` term products per slot
+of the union of its products' exponent boxes goes to ``_mul_packed``:
+every operand is packed into one Python int over that shared layout,
+each pair's integer product is shifted onto it, the signed products are
+added, and the sum is decoded once.  Each exponent axis whose exponents
+have one parity within each operand, and one parity of min a + min b
+across the pairs, is packed at step 2, and when every pair's products
+then land on slots of one parity of the packed e_v + e_s, only every
+other slot can be occupied, and the kernel packs those alone.  Every
+Jacobi-Trudy entry and Giambelli hook value lies on a coset of 2Z x 2Z,
+so those products pack a quarter of their exponent box; a checkerboard
+of e_v + e_s, and a one-variable product of one parity, pack half.  A
+product with a one-term operand shifts the other operand's keys and
+scales its coefficients.  The products of a sparser sum each go to the
+term loop ``_addmul`` (acc += a * b), or alone to ``_mul_packed`` when
+dense enough by themselves, and are added term by term; a two-variable
+product runs the term loop on its operands' slots at K = span_s(a) +
+span_s(b) + 1.  Exact division is ``_div_terms_1var``, one sweep down
+the dividend's exponents over a dense remainder list; a two-variable
+quotient is that of the slots at K = span_s(num) + 1, accepted only when
+every quotient slot keeps its s-offset within span_s(num) - span_s(den).
+Values are stored as term dicts either way; slots live only inside one
+kernel call.
 
 Denominators: bracket multisets are sorted tuples, and ``_bracket_plan``
 works out, once per pair of them, their union and the brackets each one
@@ -90,7 +94,7 @@ class ConsistencyError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # raw term-dict kernels over int exponents; two-variable values run through
-# them one v-slice at a time
+# them on a slot layout (see ``_slot_keys``)
 
 
 def _addmul(acc: dict, a: dict, b: dict) -> None:
@@ -144,53 +148,6 @@ def _div_terms_1var(num: dict, den: dict) -> Optional[dict]:
             for j, c in tail:
                 rem[i + j] -= qc * c
     return None if any(rem[:stop]) else quo
-
-
-def _slices(terms: dict) -> dict:
-    """Two-variable terms as v-slices ``{e_v: {e_s: c}}``."""
-    out: dict = {}
-    for (ev, es), c in terms.items():
-        out.setdefault(ev, {})[es] = c
-    return out
-
-
-def _flatten(slices: dict) -> dict:
-    """Inverse of ``_slices``; empty slices vanish."""
-    return {(ev, es): c for ev, sl in slices.items() for es, c in sl.items()}
-
-
-def _div_terms_2var(num: dict, den: dict) -> Optional[dict]:
-    """Exact two-variable Laurent division of term dicts, or None.
-
-    Long division in v over v-slices: each step divides the top remainder
-    slice by the divisor's top slice and subtracts that quotient slice
-    times the divisor's other slices.  The quotient's lowest v-exponent is
-    forced to be the lowest of num minus the lowest of den, so a step below
-    it proves non-divisibility, as does a slice division that fails.
-    """
-    if not num:
-        return {}
-    rem = _slices(num)
-    den = _slices(den)
-    dtop = max(den)
-    lead = den[dtop]
-    rest = [(ev, {e: -c for e, c in sl.items()})
-            for ev, sl in den.items() if ev != dtop]
-    qmin = min(rem) - min(den)
-    quo: dict = {}
-    while rem:
-        rv = max(rem)
-        qv = rv - dtop
-        q = None if qv < qmin else _div_terms_1var(rem.pop(rv), lead)
-        if q is None:
-            return None
-        quo[qv] = q
-        for ev, sl in rest:
-            acc = rem.setdefault(qv + ev, {})
-            _addmul(acc, q, sl)
-            if not acc:
-                del rem[qv + ev]
-    return _flatten(quo)
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +246,66 @@ def _one_parity(keys: list) -> bool:
 
 
 def _box(x: dict, nvars: int) -> list:
-    """Per exponent axis of the term dict x (s alone, or v then s): its least
-    and greatest exponent, and their common parity, or None when they take
-    both."""
-    out = []
+    """Per exponent axis of the nonempty term dict x, v then s, with v = 0
+    throughout in one variable: its least and greatest exponent, and their
+    common parity, or None when they take both."""
+    out = [] if nvars == 2 else [(0, 0, 0)]
     for keys in ((x,) if nvars == 1 else zip(*x)):
         lo = min(keys)
         out.append((lo, max(keys), lo & 1 if _one_parity(keys) else None))
     return out
+
+
+def _slot_keys(x: dict, nvars: int, v0: int, s0: int, hv: int, hs: int, stride: int) -> list:
+    """The slot of each exponent of the term dict x, in order, on the one
+    layout of every two-variable kernel: rows of ``stride`` slots, s
+    varying fastest, counted from the corner (v0, s0) at steps 2**hv and
+    2**hs, so (e_v, e_s) sits at
+
+        (e_v - v0 >> hv) * stride + (e_s - s0 >> hs).
+
+    A one-variable value is its single row.  This is Kronecker substitution
+    v = X**stride, s = X: while every s-offset of a value lies in [0,
+    stride), its slots are one-to-one with its exponents, and a product of
+    values is the product of their slots placed at the sum of their
+    corners.  So a product or exact quotient whose s-offsets stay inside a
+    row is the one-variable product or quotient of the slots."""
+    if nvars == 1:
+        return [e - s0 >> hs for e in x]
+    return [(ev - v0 >> hv) * stride + (es - s0 >> hs) for ev, es in x]
+
+
+def _slotted(x: dict, v0: int, s0: int, stride: int) -> dict:
+    """The two-variable term dict x keyed by its slots at step 1."""
+    return dict(zip(_slot_keys(x, 2, v0, s0, 0, 0, stride), x.values()))
+
+
+def _unslotted(x: dict, v0: int, s0: int, stride: int) -> dict:
+    """Inverse of ``_slotted``: slot i is (v0 + i // stride, s0 + i % stride)."""
+    return {(v0 + i // stride, s0 + i % stride): c for i, c in x.items()}
+
+
+def _s_window(x: dict) -> tuple:
+    """(least e_v, least e_s, s-span) of a nonempty two-variable term dict,
+    from one min/max pass per axis: ``_box``'s parity scans cost the term
+    loop's small products too much."""
+    vs, ss = zip(*x)
+    lo = min(ss)
+    return min(vs), lo, max(ss) - lo
+
+
+def _decode_slots(coeffs: list, nvars: int, v0: int, s0: int, hv: int, hs: int, rows: int,
+                  stride: int, par: Optional[int] = None) -> dict:
+    """Term dict of the nonzero slots of a packed layout that ``_slot_keys``
+    keyed: rows of ``stride`` slots, from the corner (v0, s0) at steps 2**hv
+    and 2**hs.  A halved layout holds only the slots of parity par, so its
+    slot i is slot 2i + par of the full one."""
+    keys = range(s0, s0 + (stride << hs), 1 << hs)
+    if nvars == 2:
+        keys = itertools.product(range(v0, v0 + (rows << hv), 1 << hv), keys)
+    if par is not None:
+        keys = itertools.islice(keys, par, None, 2)
+    return dict(zip(itertools.compress(keys, coeffs), itertools.compress(coeffs, coeffs)))
 
 
 def _mul_packed(pairs: list, nvars: int) -> Optional[dict]:
@@ -336,8 +345,8 @@ def _mul_packed(pairs: list, nvars: int) -> Optional[dict]:
     boxes = [(_box(a, nvars), _box(b, nvars)) for _, a, b in pairs]
     # per axis, v then s: the products' least exponent, log2 of the step,
     # and the number of slots
-    layout = [(0, 0, 1)] if nvars == 1 else []
-    for axis in range(nvars):
+    layout = []
+    for axis in (0, 1):
         los, his, parities = [], [], set()
         for box_a, box_b in boxes:
             (alo, ahi, apar), (blo, bhi, bpar) = box_a[axis], box_b[axis]
@@ -352,25 +361,16 @@ def _mul_packed(pairs: list, nvars: int) -> Optional[dict]:
     if products < per_slot * ((n + 1) // 2):
         return None
     keyed = []
-    for (sign, a, b), (box_a, box_b) in zip(pairs, boxes):
-        sa, sb = box_a[-1][0], box_b[-1][0]
-        if nvars == 1:
-            ka = [e - sa >> hs for e in a]
-            kb = [e - sb >> hs for e in b]
-            off = sa + sb - ls >> hs
-        else:
-            va, vb = box_a[0][0], box_b[0][0]
-            ka = [(ev - va >> hv) * stride + (es - sa >> hs) for ev, es in a]
-            kb = [(ev - vb >> hv) * stride + (es - sb >> hs) for ev, es in b]
-            off = (va + vb - lv >> hv) * stride + (sa + sb - ls >> hs)
-        keyed.append((sign, a, b, ka, kb, off))
+    for (sign, a, b), (((va, _, _), (sa, _, _)), ((vb, _, _), (sb, _, _))) in zip(pairs, boxes):
+        keyed.append((sign, a, b, _slot_keys(a, nvars, va, sa, hv, hs, stride),
+                      _slot_keys(b, nvars, vb, sb, hv, hs, stride),
+                      (va + vb - lv >> hv) * stride + (sa + sb - ls >> hs)))
     # the parity of the slots every pair's products land on, when each
     # operand's slots have one parity
     parities = {(off + ka[0] + kb[0]) & 1 if _one_parity(ka) and _one_parity(kb) else None
                 for _, _, _, ka, kb, off in keyed}
-    halved = len(parities) == 1 and None not in parities
-    if halved:
-        (par,) = parities
+    par = parities.pop() if len(parities) == 1 else None
+    if par is not None:
         keyed = [(sign, a, b, [k >> 1 for k in ka], [k >> 1 for k in kb],
                   off + (ka[0] & 1) + (kb[0] & 1) - par >> 1)
                  for sign, a, b, ka, kb, off in keyed]
@@ -385,13 +385,7 @@ def _mul_packed(pairs: list, nvars: int) -> Optional[dict]:
     for sign, a, b, ka, kb, off in keyed:
         p = _pack(ka, a.values(), w) * _pack(kb, b.values(), w) << bits * off
         total = total + p if sign > 0 else total - p
-    coeffs = _unpack(total, w, n)
-    keys = range(ls, ls + (stride << hs), 1 << hs)
-    if nvars == 2:
-        keys = itertools.product(range(lv, lv + (rows << hv), 1 << hv), keys)
-    if halved:
-        keys = itertools.islice(keys, par, None, 2)
-    return dict(zip(itertools.compress(keys, coeffs), itertools.compress(coeffs, coeffs)))
+    return _decode_slots(_unpack(total, w, n), nvars, lv, ls, hv, hs, rows, stride, par)
 
 
 def _mul_terms(a: dict, b: dict, nvars: int) -> dict:
@@ -410,12 +404,11 @@ def _mul_terms(a: dict, b: dict, nvars: int) -> dict:
         data = {}
         _addmul(data, a, b)
     elif data is None:
-        sb = _slices(b)
-        prod: dict = {}
-        for va, sa in _slices(a).items():
-            for vb, sl in sb.items():
-                _addmul(prod.setdefault(va + vb, {}), sa, sl)
-        data = _flatten(prod)
+        (va, sa, span_a), (vb, sb, span_b) = _s_window(a), _s_window(b)
+        k = span_a + span_b + 1
+        acc: dict = {}
+        _addmul(acc, _slotted(a, va, sa, k), _slotted(b, vb, sb, k))
+        data = _unslotted(acc, va + vb, sa + sb, k)
     return data
 
 
@@ -435,6 +428,15 @@ def _sum_terms(pairs: list, nvars: int) -> dict:
         for e, c in _mul_terms(a, b, nvars).items():
             acc[e] = get(e, 0) + c if sign > 0 else get(e, 0) - c
     return {e: c for e, c in acc.items() if c}
+
+
+def _check_exponent(key, nvars: int) -> None:
+    """Raise ValueError unless key is an int (one variable) or a pair of
+    ints (two variables); bools are not ints here.  The slot layouts
+    compute with exponents as ints."""
+    exps = (key,) if nvars == 1 else key
+    if type(exps) is not tuple or tuple(map(type, exps)) != (int,) * nvars:
+        raise ValueError(f"a {nvars}-variable exponent is {nvars} int(s), got {key!r}")
 
 
 def _from_terms(data: dict, nvars: int) -> "LaurentPoly":
@@ -463,9 +465,9 @@ class LaurentPoly:
             raise ValueError(f"nvars must be 1 or 2, got {nvars!r}")
         data: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
-        for key, c in items:
+        for k, c in items:
+            _check_exponent(k, nvars)
             if c:
-                k = key if nvars == 1 else (key[0], key[1])
                 nc = data.get(k, 0) + c
                 if nc:
                     data[k] = nc
@@ -481,6 +483,7 @@ class LaurentPoly:
             raise ValueError(f"nvars must be 1 or 2, got {nvars!r}")
         if nvars == 1 and v:
             raise ValueError("a one-variable monomial has no v exponent")
+        _check_exponent((v, s) if nvars == 2 else s, nvars)
         return _from_terms({(v, s) if nvars == 2 else s: coeff} if coeff else {}, nvars)
 
     @classmethod
@@ -599,14 +602,35 @@ class LaurentPoly:
         return _from_terms({e: c for e, c in data.items() if c}, 1)
 
     def exact_div(self, other: "LaurentPoly") -> Optional["LaurentPoly"]:
-        """Return q with self == other * q, or None when no such q exists."""
+        """Return q with self == other * q, or None when no such q exists.
+
+        Two-variable terms are divided as slots (``_slot_keys``) on the
+        dividend's layout, k = span_s(self) + 1 slots per row, the divisor
+        from its own least corner.  A true quotient has s-offsets in [0,
+        room], room = span_s(self) - span_s(other), so the one-variable
+        quotient of the slots is its image.  Conversely, when every slot
+        of that quotient has its offset i % k in [0, room], the decoded Q
+        times other keeps every s-offset inside a row, where slots are
+        one-to-one with exponents, so other * Q = self.  A slot outside
+        that window wrapped across rows, and there is no quotient.
+        """
         if other.nvars != self.nvars:
             raise TypeError("exact division mixes one- and two-variable polynomials")
         if not other._terms:
             raise ZeroDivisionError("exact division by the zero polynomial")
-        divide = _div_terms_1var if self.nvars == 1 else _div_terms_2var
-        quo = divide(self._terms, other._terms)
-        return None if quo is None else _from_terms(quo, self.nvars)
+        num, den = self._terms, other._terms
+        if self.nvars == 1 or not num:
+            quo = _div_terms_1var(num, den)
+            return None if quo is None else _from_terms(quo, self.nvars)
+        (vn, sn, span_n), (vd, sd, span_d) = _s_window(num), _s_window(den)
+        room = span_n - span_d
+        if room < 0:
+            return None
+        k = span_n + 1
+        quo = _div_terms_1var(_slotted(num, vn, sn, k), _slotted(den, vd, sd, k))
+        if quo is None or any(i % k > room for i in quo):
+            return None
+        return _from_terms(_unslotted(quo, vn - vd, sn - sd, k), 2)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -655,10 +679,11 @@ def _over_packed(terms: dict, nvars: int, missing: list, excess: list, den: tupl
     packed integer; raises ``ConsistencyError`` when the excess brackets do
     not divide.
 
-    The numerator is packed once: a row of ``stride`` slots per distinct
-    v-exponent, the s-axis compressed by its step g (2 when every
-    s-exponent has one parity, else 1) as in ``_mul_packed``, and room in
-    each row for the lifts.  [k] is s**-k times (s**g)**(2k/g) - 1, so
+    The numerator is packed once, on the slots of its exponent box
+    (``_box``) as in ``_mul_packed``: a row of ``stride`` slots per
+    v-exponent, each axis compressed by its step (g on the s-axis: 2 when
+    every s-exponent has one parity, else 1), and room in each row for the
+    lifts.  [k] is s**-k times (s**g)**(2k/g) - 1, so
     with B = 2**(8*w) the packed numerator is P(B) for a polynomial P in
     one variable X, each missing bracket is the shift-subtract
     p = p * B**(2k/g) - p, and the excess brackets are one ``divmod`` by
@@ -677,22 +702,14 @@ def _over_packed(terms: dict, nvars: int, missing: list, excess: list, den: tupl
     P = Q * D + R with a fixed R != 0 of lower degree than the monic D, so
     0 < |R(B)| < D(B) once B is large enough, and the remainder is nonzero.
     """
-    if nvars == 2:
-        v_all, s_all = zip(*terms)
-    else:
-        v_all, s_all = (0,), tuple(terms)
-    hs = int(_one_parity(s_all))
-    s0 = min(s_all)
+    (v0, v1, vpar), (s0, s1, spar) = _box(terms, nvars)
+    hv, hs = int(vpar is not None), int(spar is not None)
     ups = [2 * k >> hs for k in missing]
     downs = [2 * k >> hs for k in excess]
-    stride = (max(s_all) - s0 >> hs) + 1 + sum(ups)
-    vs = sorted(set(v_all))
-    n = len(vs) * stride
-    if nvars == 2:
-        row = {v: i * stride for i, v in enumerate(vs)}
-        keys = [row[ev] + (es - s0 >> hs) for ev, es in terms]
-    else:
-        keys = [es - s0 >> hs for es in terms]
+    stride = (s1 - s0 >> hs) + 1 + sum(ups)
+    rows = (v1 - v0 >> hv) + 1
+    n = rows * stride
+    keys = _slot_keys(terms, nvars, v0, s0, hv, hs, stride)
     # w leaves the quotient 2 bits per excess bracket to outgrow the
     # numerator by, plus the 1 bit per bracket that the digit check needs.
     # That covers every pairing of the benchmark's ladder pairs and their
@@ -719,10 +736,7 @@ def _over_packed(terms: dict, nvars: int, missing: list, excess: list, den: tupl
             top = min(sum(downs), stride)
             if top and any(any(slots[i - top:i]) for i in range(stride, n + 1, stride)):
                 break
-            s_low = s0 - sum(missing) + sum(excess)
-            s_keys = range(s_low, s_low + (stride << hs), 1 << hs)
-            keys = s_keys if nvars == 1 else itertools.product(vs, s_keys)
-            return dict(zip(itertools.compress(keys, slots), itertools.compress(slots, slots)))
+            return _decode_slots(slots, nvars, v0, s0 - sum(missing) + sum(excess), hv, hs, rows, stride)
         w *= 2
     brackets = "".join(f"[{k}]" for k in excess)
     raise ConsistencyError(f"{brackets} does not divide the numerator over {den}")
