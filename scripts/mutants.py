@@ -119,7 +119,7 @@ MUTANTS = (
         "None if apar is None or bpar is None else apar ^ bpar",
         "(apar or 0) ^ (bpar or 0)",
         ("tests/test_ring.py::test_packed_mul_matches_term_loop",
-         "tests/test_ring.py::test_mixed_parity_products_take_full_layout"),
+         "tests/test_ring.py::test_mixed_parity_products_pack_the_whole_box"),
     ),
     Mutant(
         "packed-sum-bound-counts-first-pair", "src/hopfly/ring.py",
@@ -147,7 +147,7 @@ MUTANTS = (
     ),
     Mutant(
         "sparse-layout-stride-one-short", "src/hopfly/ring.py",
-        "k = span_a + span_b + 1", "k = span_a + span_b",
+        "k = ta - sa + tb - sb + 1", "k = ta - sa + tb - sb",
         ("tests/test_ring.py::test_sparse_products_stay_on_term_loop",
          "tests/test_ring.py::test_packed_mul_matches_term_loop"),
     ),
@@ -196,6 +196,19 @@ MUTANTS = (
         "for k in range(min(i + 1, degree), 0, -1):",
         "for k in range(1, min(i + 1, degree) + 1):",
         ("tests/test_sln.py::TestElementaryFactors::test_recurrence_equals_cauchy_products",),
+    ),
+    # identity checks made vacuous: each compares a route with itself
+    Mutant(
+        "symmetry-check-compares-a-pairing-with-itself", "src/hopfly/verify.py",
+        "if _hopf_value(lam, mu) != _hopf_value(mu, lam):",
+        "if _hopf_value(lam, mu) != _hopf_value(lam, mu):",
+        ("tests/test_verify.py::test_symmetry_check_fails_on_one_asymmetric_pairing",),
+    ),
+    Mutant(
+        "series-forms-check-compares-a-series-with-itself", "src/hopfly/verify.py",
+        "if elementary_series(lam, degree) != elementary_series_by_rows(lam, degree):",
+        "if elementary_series(lam, degree) != elementary_series(lam, degree):",
+        ("tests/test_verify.py::test_series_forms_check_fails_on_one_faulty_row_product",),
     ),
 )
 

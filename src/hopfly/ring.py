@@ -26,23 +26,20 @@ every operand is packed into one Python int over that shared layout,
 each pair's integer product is shifted onto it, the signed products are
 added, and the sum is decoded once.  Each exponent axis whose exponents
 have one parity within each operand, and one parity of min a + min b
-across the pairs, is packed at step 2, and when every pair's products
-then land on slots of one parity of the packed e_v + e_s, only every
-other slot can be occupied, and the kernel packs those alone.  Every
-Jacobi-Trudy entry and Giambelli hook value lies on a coset of 2Z x 2Z,
-so those products pack a quarter of their exponent box; a checkerboard
-of e_v + e_s, and a one-variable product of one parity, pack half.  A
-product with a one-term operand shifts the other operand's keys and
-scales its coefficients.  The products of a sparser sum each go to the
-term loop ``_addmul`` (acc += a * b), or alone to ``_mul_packed`` when
-dense enough by themselves, and are added term by term; a two-variable
-product runs the term loop on its operands' slots at K = span_s(a) +
-span_s(b) + 1.  Exact division is ``_div_terms_1var``, one sweep down
-the dividend's exponents over a dense remainder list; a two-variable
-quotient is that of the slots at K = span_s(num) + 1, accepted only when
-every quotient slot keeps its s-offset within span_s(num) - span_s(den).
-Values are stored as term dicts either way; slots live only inside one
-kernel call.
+across the pairs, is packed at step 2.  Every Jacobi-Trudy entry and
+Giambelli hook value lies on a coset of 2Z x 2Z, so those products pack
+a quarter of their exponent box, and a one-variable product of one
+parity half of it.  A product with a one-term operand shifts the other
+operand's keys and scales its coefficients.  The products of a sparser
+sum each go to the term loop ``_addmul`` (acc += a * b), or alone to
+``_mul_packed`` when dense enough by themselves, and are added term by
+term; a two-variable product runs the term loop on its operands' slots
+at K = span_s(a) + span_s(b) + 1.  Exact division is
+``_div_terms_1var``, one sweep down the dividend's exponents over a
+dense remainder list; a two-variable quotient is that of the slots at
+K = span_s(num) + 1, accepted only when every quotient slot keeps its
+s-offset within span_s(num) - span_s(den).  Values are stored as term
+dicts either way; slots live only inside one kernel call.
 
 Denominators: bracket multisets are sorted tuples, and ``_bracket_plan``
 works out, once per pair of them, their union and the brackets each one
@@ -156,22 +153,19 @@ def _div_terms_1var(num: dict, den: dict) -> Optional[dict]:
 
 
 # Least number of term products per slot of a packed sum of products
-# (counting the slots of its compressed, possibly halved layout of the
-# union box) at which ``_mul_packed`` replaces the term loop.  Replaying
-# every sum of the three default-seed benchmark workloads (best of 7, four
-# rounds), thresholds 1, 1.5, 2, 3 and 4 stayed within the host's noise
-# of each other, about 10 %: verify's sums took 0.32-0.47 s, against
-# 1.08-1.37 s on the term loop alone; ladder's 0.040-0.068 s against
-# 0.93-1.08 s; sln's 0.005-0.009 s against 0.009-0.014 s.  So the value
-# chosen for single products stands: each product of two operands of
-# at least two terms, in each default-seed benchmark workload, was timed on
-# both kernels (replayed operands, best of 5 per product, Python 3.11.7,
-# shared 2-vCPU host), and each threshold charged the kernel it picks.
-# Against the term loop alone, thresholds 1, 1.5, 2, 3 and 4 saved 1.499,
-# 1.500, 1.500, 1.499 and 1.498 s of ladder's 1.605 s; 0.010 s of sln's
-# 0.016 s at each; and 0.851, 0.875, 0.890, 0.883 and 0.851 s of verify's
-# 1.413 s.  Below 2, verify's products of under about 100 term products
-# get packed, and there the packing's fixed cost exceeds the term loop.
+# (counting the slots of its compressed layout of the union box) at which
+# ``_mul_packed`` replaces the term loop.  Every top-level sum and product
+# of the three default-seed benchmark workloads was captured and replayed
+# at each threshold (best of 7 in each of three processes, Python 3.11.7,
+# shared 2-vCPU host).  Thresholds 1, 1.5, 2, 3 and 4 took 0.074-0.078,
+# 0.075-0.077, 0.073-0.075, 0.073-0.075 and 0.074-0.075 s of ladder's
+# products, against 1.46-1.58 s on the term loop alone; 0.0072,
+# 0.0070-0.0071, 0.0067-0.0068, 0.0070-0.0073 and 0.0070-0.0072 s of
+# sln's, against 0.016 s; and 0.56-0.60, 0.55-0.59, 0.53-0.56, 0.52-0.55
+# and 0.52-0.55 s of verify's, against 1.47-1.53 s.  So 2, 3 and 4 are
+# within the noise of each other.  Below 2, verify packs more of its small
+# products, where the packing's fixed cost exceeds the term loop, and its
+# replay is slower.
 _PACKED_MIN_PRODUCTS_PER_SLOT = 2
 
 # Translation table from the top byte of a two's-complement slot to the
@@ -240,11 +234,6 @@ def _unpack(p: int, w: int, n: int) -> list:
     return slots.tolist()
 
 
-def _one_parity(keys: list) -> bool:
-    """Whether every key has the parity of the first."""
-    return not (functools.reduce(operator.or_, keys) ^ functools.reduce(operator.and_, keys)) & 1
-
-
 def _box(x: dict, nvars: int) -> list:
     """Per exponent axis of the nonempty term dict x, v then s, with v = 0
     throughout in one variable: its least and greatest exponent, and their
@@ -252,7 +241,8 @@ def _box(x: dict, nvars: int) -> list:
     out = [] if nvars == 2 else [(0, 0, 0)]
     for keys in ((x,) if nvars == 1 else zip(*x)):
         lo = min(keys)
-        out.append((lo, max(keys), lo & 1 if _one_parity(keys) else None))
+        mixed = (functools.reduce(operator.or_, keys) ^ functools.reduce(operator.and_, keys)) & 1
+        out.append((lo, max(keys), None if mixed else lo & 1))
     return out
 
 
@@ -285,26 +275,14 @@ def _unslotted(x: dict, v0: int, s0: int, stride: int) -> dict:
     return {(v0 + i // stride, s0 + i % stride): c for i, c in x.items()}
 
 
-def _s_window(x: dict) -> tuple:
-    """(least e_v, least e_s, s-span) of a nonempty two-variable term dict,
-    from one min/max pass per axis: ``_box``'s parity scans cost the term
-    loop's small products too much."""
-    vs, ss = zip(*x)
-    lo = min(ss)
-    return min(vs), lo, max(ss) - lo
-
-
 def _decode_slots(coeffs: list, nvars: int, v0: int, s0: int, hv: int, hs: int, rows: int,
-                  stride: int, par: Optional[int] = None) -> dict:
+                  stride: int) -> dict:
     """Term dict of the nonzero slots of a packed layout that ``_slot_keys``
     keyed: rows of ``stride`` slots, from the corner (v0, s0) at steps 2**hv
-    and 2**hs.  A halved layout holds only the slots of parity par, so its
-    slot i is slot 2i + par of the full one."""
+    and 2**hs."""
     keys = range(s0, s0 + (stride << hs), 1 << hs)
     if nvars == 2:
         keys = itertools.product(range(v0, v0 + (rows << hv), 1 << hv), keys)
-    if par is not None:
-        keys = itertools.islice(keys, par, None, 2)
     return dict(zip(itertools.compress(keys, coeffs), itertools.compress(coeffs, coeffs)))
 
 
@@ -315,31 +293,25 @@ def _mul_packed(pairs: list, nvars: int) -> Optional[dict]:
 
     Every pair is packed into one layout over the union of the products'
     exponent boxes: a slot of w bytes per exponent (per (e_v, e_s) pair, s
-    varying fastest with an odd stride above the union's s-span).  a is
-    packed from the least corner of its own exponent box, b from that of
+    varying fastest, in rows one slot longer than the union's s-span).  a
+    is packed from the least corner of its own exponent box, b from that of
     its own, and their integer product is shifted to the slot of the sum of
     the two corners, so every product lands on the shared slots; the signed
     products are added as integers and the sum is decoded once.  Each axis
     is first compressed by its step: 2 when every operand's exponents on it
     have one parity and every pair's sum of corners has one parity on it,
-    so that all the products' exponents on it do too, else 1.  Then, when
-    each operand's slot indices share one parity and every pair's products
-    land on slots of one parity P, which the odd stride makes true whenever
-    e_v + e_s has one parity on the compressed lattice, slot k is packed at
-    k >> 1: the integers and the decode are halved, and decoded slot i is
-    index 2i + P.  So products on a coset of 2Z x 2Z, as every Jacobi-Trudy
-    entry and Giambelli hook value is, pack a quarter of their exponent
-    box, and those of one parity of e_v + e_s alone (a checkerboard) or in
-    one variable half of it.  The coefficient of a product sums at most
-    min(#a, #b) term products, so a coefficient of the sum is at most the
-    sum over the pairs of max|a| * max|b| * min(#a, #b), which fixes w.
+    so that all the products' exponents on it do too, else 1.  So products
+    on a coset of 2Z x 2Z, as every Jacobi-Trudy entry and Giambelli hook
+    value is, pack a quarter of their exponent box, and a one-variable
+    product of one parity half of it.  The coefficient of a product sums
+    at most min(#a, #b) term products, so a coefficient of the sum is at
+    most the sum over the pairs of max|a| * max|b| * min(#a, #b), which
+    fixes w.
     """
     per_slot = _PACKED_MIN_PRODUCTS_PER_SLOT
     products = sum(len(a) * len(b) for _, a, b in pairs)
-    # A product has at least #a + #b - 1 slots, even halved: skip the layout
-    # when even the largest such count would be too sparse.  Then reject on
-    # the (n + 1) // 2 slots of a halved layout of the union box, before any
-    # key list or parity scan of the operands' slots.
+    # A product has at least #a + #b - 1 slots: skip the layout when even
+    # the largest such count would be too sparse.
     if products < per_slot * max(len(a) + len(b) - 1 for _, a, b in pairs):
         return None
     boxes = [(_box(a, nvars), _box(b, nvars)) for _, a, b in pairs]
@@ -355,37 +327,21 @@ def _mul_packed(pairs: list, nvars: int) -> Optional[dict]:
             parities.add(None if apar is None or bpar is None else apar ^ bpar)
         h = int(len(parities) == 1 and None not in parities)
         layout.append((min(los), h, (max(his) - min(los) >> h) + 1))
-    (lv, hv, rows), (ls, hs, cols) = layout
-    stride = cols | 1 if nvars == 2 else cols
+    (lv, hv, rows), (ls, hs, stride) = layout
     n = rows * stride
-    if products < per_slot * ((n + 1) // 2):
-        return None
-    keyed = []
-    for (sign, a, b), (((va, _, _), (sa, _, _)), ((vb, _, _), (sb, _, _))) in zip(pairs, boxes):
-        keyed.append((sign, a, b, _slot_keys(a, nvars, va, sa, hv, hs, stride),
-                      _slot_keys(b, nvars, vb, sb, hv, hs, stride),
-                      (va + vb - lv >> hv) * stride + (sa + sb - ls >> hs)))
-    # the parity of the slots every pair's products land on, when each
-    # operand's slots have one parity
-    parities = {(off + ka[0] + kb[0]) & 1 if _one_parity(ka) and _one_parity(kb) else None
-                for _, _, _, ka, kb, off in keyed}
-    par = parities.pop() if len(parities) == 1 else None
-    if par is not None:
-        keyed = [(sign, a, b, [k >> 1 for k in ka], [k >> 1 for k in kb],
-                  off + (ka[0] & 1) + (kb[0] & 1) - par >> 1)
-                 for sign, a, b, ka, kb, off in keyed]
-        n = (n - par + 1) // 2
-    elif products < per_slot * n:
+    if products < per_slot * n:
         return None
     bound = sum(max(map(abs, a.values())) * max(map(abs, b.values())) * min(len(a), len(b))
                 for _, a, b in pairs)
     w = bound.bit_length() // 8 + 1
     bits = 8 * w
     total = 0
-    for sign, a, b, ka, kb, off in keyed:
-        p = _pack(ka, a.values(), w) * _pack(kb, b.values(), w) << bits * off
+    for (sign, a, b), (((va, _, _), (sa, _, _)), ((vb, _, _), (sb, _, _))) in zip(pairs, boxes):
+        p = (_pack(_slot_keys(a, nvars, va, sa, hv, hs, stride), a.values(), w)
+             * _pack(_slot_keys(b, nvars, vb, sb, hv, hs, stride), b.values(), w)
+             << bits * ((va + vb - lv >> hv) * stride + (sa + sb - ls >> hs)))
         total = total + p if sign > 0 else total - p
-    return _decode_slots(_unpack(total, w, n), nvars, lv, ls, hv, hs, rows, stride, par)
+    return _decode_slots(_unpack(total, w, n), nvars, lv, ls, hv, hs, rows, stride)
 
 
 def _mul_terms(a: dict, b: dict, nvars: int) -> dict:
@@ -404,8 +360,8 @@ def _mul_terms(a: dict, b: dict, nvars: int) -> dict:
         data = {}
         _addmul(data, a, b)
     elif data is None:
-        (va, sa, span_a), (vb, sb, span_b) = _s_window(a), _s_window(b)
-        k = span_a + span_b + 1
+        ((va, _, _), (sa, ta, _)), ((vb, _, _), (sb, tb, _)) = _box(a, 2), _box(b, 2)
+        k = ta - sa + tb - sb + 1
         acc: dict = {}
         _addmul(acc, _slotted(a, va, sa, k), _slotted(b, vb, sb, k))
         data = _unslotted(acc, va + vb, sa + sb, k)
@@ -439,6 +395,13 @@ def _check_exponent(key, nvars: int) -> None:
         raise ValueError(f"a {nvars}-variable exponent is {nvars} int(s), got {key!r}")
 
 
+def _check_coefficient(c) -> None:
+    """Raise ValueError unless c is an int; bools, floats and Fractions are
+    not.  The packed kernels read coefficients as ints."""
+    if type(c) is not int:
+        raise ValueError(f"a coefficient is an int, got {c!r}")
+
+
 def _from_terms(data: dict, nvars: int) -> "LaurentPoly":
     """Wrap an already normalised term dict without copying it."""
     out = LaurentPoly.__new__(LaurentPoly)
@@ -467,6 +430,7 @@ class LaurentPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         for k, c in items:
             _check_exponent(k, nvars)
+            _check_coefficient(c)
             if c:
                 nc = data.get(k, 0) + c
                 if nc:
@@ -484,6 +448,7 @@ class LaurentPoly:
         if nvars == 1 and v:
             raise ValueError("a one-variable monomial has no v exponent")
         _check_exponent((v, s) if nvars == 2 else s, nvars)
+        _check_coefficient(coeff)
         return _from_terms({(v, s) if nvars == 2 else s: coeff} if coeff else {}, nvars)
 
     @classmethod
@@ -622,11 +587,11 @@ class LaurentPoly:
         if self.nvars == 1 or not num:
             quo = _div_terms_1var(num, den)
             return None if quo is None else _from_terms(quo, self.nvars)
-        (vn, sn, span_n), (vd, sd, span_d) = _s_window(num), _s_window(den)
-        room = span_n - span_d
+        ((vn, _, _), (sn, tn, _)), ((vd, _, _), (sd, td, _)) = _box(num, 2), _box(den, 2)
+        room = tn - sn - (td - sd)
         if room < 0:
             return None
-        k = span_n + 1
+        k = tn - sn + 1
         quo = _div_terms_1var(_slotted(num, vn, sn, k), _slotted(den, vd, sd, k))
         if quo is None or any(i % k > room for i in quo):
             return None

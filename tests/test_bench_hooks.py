@@ -83,9 +83,9 @@ def test_packed_product_is_counted():
     assert metrics["ring.poly_mul.term_products"] == 30 * 30
 
 
-def test_halved_product_and_sweep_division_are_counted(monkeypatch):
-    # Even exponents only: the packed product decodes the 59 even slots of
-    # its 117-slot exponent box, and divisions run the sweep.
+def test_lattice_product_and_sweep_division_are_counted(monkeypatch):
+    # Even exponents only: the packed product steps by 2 through its
+    # 117-exponent box, so it decodes 59 slots, and divisions run the sweep.
     dense = ring.LaurentPoly({2 * e: e * e + 1 for e in range(-10, 20)}, nvars=1)
     slots = []
     real = ring._unpack

@@ -1,5 +1,7 @@
 import gc
+import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +119,24 @@ class TestLaurentArithmetic:
         with pytest.raises(ValueError):
             LaurentPoly.monomial(1, s=True, nvars=1)
         assert LaurentPoly.monomial(2, 1, -3) == P2({(1, -3): 2})
+
+    @pytest.mark.parametrize("nvars", (1, 2))
+    def test_non_int_coefficients_are_refused(self, nvars):
+        key = 0 if nvars == 1 else (0, 0)
+        # zero coefficients too, though a zero int term is dropped
+        for coeff in (1.5, 2.0, 0.0, Fraction(1, 2), Fraction(3), True, False):
+            with pytest.raises(ValueError):
+                LaurentPoly({key: coeff}, nvars)
+            with pytest.raises(ValueError):
+                LaurentPoly.monomial(coeff, nvars=nvars)
+        assert LaurentPoly({key: 0}, nvars).is_zero()
+        # an operand of a product dense enough to pack is refused before
+        # the packed kernel reads its coefficients
+        keys = range(6) if nvars == 1 else [(0, i) for i in range(6)]
+        ints = {k: 1 for k in keys}
+        assert ring._mul_packed([(1, ints, ints)], nvars)
+        with pytest.raises(ValueError):
+            LaurentPoly({k: 1.5 for k in keys}, nvars)
 
     def test_not_hashable(self):
         # equal to the int 3, so no hash could agree with both
@@ -578,20 +598,18 @@ def spans(p):
 
 
 def full_layout_slots(a, b):
-    """Slots of the unhalved layout: the product's exponent box, with s
-    varying fastest at an odd stride in two variables."""
-    span = [x + y for x, y in zip(spans(a), spans(b))]
-    if a.nvars == 1:
-        return span[0] + 1
-    return (span[0] + 1) * ((span[1] + 1) | 1)
+    """Slots of the product's whole exponent box, with s varying fastest
+    at stride span_s + 1 in two variables."""
+    return math.prod(x + y + 1 for x, y in zip(spans(a), spans(b)))
 
 
 def lattice_layout_slots(a, b):
-    """Slots of the two-variable layout with both axes compressed by 2: a
-    quarter of the exponent box, with an odd stride."""
+    """Slots of the product's exponent box with every axis compressed by
+    2: a quarter of the box in two variables, at stride span_s / 2 + 1,
+    and half of it in one."""
     span = [x + y for x, y in zip(spans(a), spans(b))]
-    assert span[0] % 2 == span[1] % 2 == 0
-    return (span[0] // 2 + 1) * ((span[1] // 2 + 1) | 1)
+    assert all(x % 2 == 0 for x in span)
+    return math.prod(x // 2 + 1 for x in span)
 
 
 COEFF_BOUNDS = (3, 2 ** 20, 2 ** 30, 2 ** 70)  # 2**30 lets slots reach 8 and 9 bytes
@@ -651,35 +669,35 @@ def packed_layout(a, b):
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_one_parity_products_take_halved_layout(data):
+def test_one_parity_products_pack_the_lattice_box(data):
     # On a coset of 2Z x 2Z in both operands the product packs a quarter
-    # of its exponent box; with e_v + e_s of one parity alone, or in one
-    # variable, half of it.
+    # of its exponent box, and in one variable half of it; with e_v + e_s
+    # of one parity alone, the whole box.
     nvars = data.draw(st.sampled_from((1, 2)))
     lattice = [data.draw(st.booleans()) for _ in range(2)]
     a, b = (data.draw(one_parity_poly(nvars, data.draw(st.integers(0, 1)), on))
             for on in lattice)
-    if nvars == 2 and all(lattice):
+    if nvars == 1 or all(lattice):
         assert packed_layout(a, b) == [lattice_layout_slots(a, b)]
     else:
-        assert packed_layout(a, b) == [(full_layout_slots(a, b) + 1) // 2]
+        assert packed_layout(a, b) == [full_layout_slots(a, b)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_lattice_products_halve_again_when_the_quarter_is_a_checkerboard(data):
-    # On a coset of 2Z x 2Z whose halved exponents also have one parity of
-    # e_v/2 + e_s/2, the quarter box is halved like a checkerboard.
+def test_checkerboard_quarters_pack_the_whole_quarter_box(data):
+    # On a coset of 2Z x 2Z whose exponents, divided by 2, also have one
+    # parity of e_v/2 + e_s/2, every slot of the quarter box is packed.
     parity = data.draw(st.integers(0, 1))
     a, b = (data.draw(one_parity_poly(2, parity)) for _ in range(2))
     a = LaurentPoly({(2 * ev, 2 * es + 1): c for (ev, es), c in a.items()})
     b = LaurentPoly({(2 * ev + 1, 2 * es): c for (ev, es), c in b.items()})
-    assert packed_layout(a, b) == [(lattice_layout_slots(a, b) + 1) // 2]
+    assert packed_layout(a, b) == [lattice_layout_slots(a, b)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_mixed_parity_products_take_full_layout(data):
+def test_mixed_parity_products_pack_the_whole_box(data):
     nvars = data.draw(st.sampled_from((1, 2)))
     a = data.draw(mixed_parity_poly(nvars))
     b = data.draw(st.one_of(mixed_parity_poly(nvars),
@@ -699,7 +717,7 @@ def test_one_axis_step_compresses_only_that_axis(data):
     a, b = (LaurentPoly({(e + 2 * r, es): c for r in rs for es, c in p.items()})
             for e, rs, p in zip(ev, rows, s_polys))
     span_v, span_s = [x + y for x, y in zip(spans(a), spans(b))]
-    assert packed_layout(a, b) == [(span_v // 2 + 1) * ((span_s + 1) | 1)]
+    assert packed_layout(a, b) == [(span_v // 2 + 1) * (span_s + 1)]
 
 
 def bytes_pack(keys, coeffs, w):
@@ -777,16 +795,16 @@ def test_packed_sum_matches_term_loop(data):
 def test_pairs_on_different_cosets_take_the_full_layout():
     # Every operand has one parity on each axis, but the two pairs' products
     # lie on different cosets: e_s even and odd in one variable, e_v even
-    # and odd in two.  The axes with disagreeing parities keep step 1, and
-    # the slots of the two pairs' products then differ in parity too, so the
-    # union box is decoded unhalved.
+    # and odd in two.  The axes with disagreeing parities keep step 1, so
+    # the union box is packed whole on them.
     even, odd = {0: 1, 2: 3, 4: -2}, {1: 1, 3: -1, 5: 2}
     b = {0: 2, 2: 1, 6: 1}
     lattice = {(0, 0): 1, (2, 0): 2, (0, 2): -1, (2, 2): 1}
-    shifted = {(1, 0): 1, (3, 2): 1, (1, 2): 3}
-    # s-exponents 0..11; v-exponents 0..5 by s-exponents 0, 2, 4 (stride 3)
+    shifted = {(1, 0): 1, (3, 2): 1, (1, 4): 3}
+    # s-exponents 0..11; v-exponents 0..5 by s-exponents 0, 2, 4, 6: rows
+    # of 4 slots, the compressed s-span + 1
     for nvars, pairs, slots in ((1, [(1, even, b), (-1, odd, b)], 12),
-                                (2, [(1, lattice, lattice), (-1, shifted, lattice)], 18)):
+                                (2, [(1, lattice, lattice), (-1, shifted, lattice)], 24)):
         with pytest.MonkeyPatch.context() as mp:
             seen = decoded_slots(mp)
             got = fused_sum(pairs, nvars)

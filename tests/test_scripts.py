@@ -45,3 +45,19 @@ def test_every_mutant_snippet_occurs_once_in_src():
         with open(os.path.join(ROOT, m.path), encoding="utf-8") as fh:
             assert fh.read().count(m.snippet) == 1, m.name
         assert m.replacement != m.snippet and m.tests, m.name
+
+
+def test_loc_counts_code_lines_only():
+    spec = importlib.util.spec_from_file_location(
+        "loc", os.path.join(ROOT, "scripts", "loc.py"))
+    loc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(loc)
+    source = '"""Module\ndocstring."""\n\n# comment\ndef f(x):\n    """Doc."""\n' \
+             '    y = (x +  # trailing\n         1)\n    return """not\na docstring"""\n'
+    assert loc.code_lines(source) == 5
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "loc.py")],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert rows[-1][1] == "total" and "ring.py" in [name for _, name in rows]
+    assert int(rows[-1][0]) == sum(int(count) for count, _ in rows[:-1])
